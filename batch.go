@@ -173,7 +173,7 @@ func (s *Solver) batchSolve(ctx context.Context, idx int, it *BatchItem, schedul
 		tc = trace.New()
 	}
 
-	cost := core.EstimateWorkspaceBytes(n, s.opts.NB, vectors)
+	cost := s.EstimateWorkspaceBytes(n, vectors)
 	waitStart := time.Now()
 	if window != nil {
 		// The per-call pipeline window is taken before the shared gate so an

@@ -112,14 +112,14 @@ func main() {
 		show(bench.Stage2ParallelCheck(min(*n, 256), *nb, []int{1, 2, 4}))
 	}
 	if run("ablate-group") {
-		show(bench.AblationGroup(*n, *nb, []int{1, 2, 4, 8, *nb, 2 * *nb}))
+		show(bench.AblationGroup(*n, *nb, *workers, []int{4, 8, 12, 16, 24, 32, *nb}))
 	}
 	if run("ablate-sched") {
 		show(bench.AblationStage2Cores(*n, *nb, []int{1, 2, 4}))
 		show(bench.AblationStage1Sched(*n, *nb, []int{1, 2, 4}))
 	}
 	if run("ablate-colblock") {
-		show(bench.AblationColBlock(*n, *nb, *workers, []int{16, 32, 64, 128, 256}))
+		show(bench.AblationColBlock(*n, *nb, *workers, []int{32, 64, 96, 128, 192, 256}))
 	}
 	if *exp == "backtrans" { // not part of "all": the large sweep stands alone
 		bsz := sz

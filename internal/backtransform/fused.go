@@ -2,7 +2,6 @@ package backtransform
 
 import (
 	"repro/internal/band"
-	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
 	"repro/internal/trace"
@@ -58,6 +57,7 @@ func (p *Plan) ApplyFusedWith(f *band.Factor, sweeps []*Plan, e *matrix.Dense, j
 	if colBlock <= 0 {
 		colBlock = tune.ColBlock(e.Cols, f.NB, job.Workers())
 	}
+	f.PrepareQ1() // before the tasks: they share the Q₁ operands read-only
 	// One workspace serves every factor of a task: each Q₂/sweep plan needs
 	// its maxK·cols, Q₁ needs NB·cols.
 	wkK := max(p.maxK, f.NB)
@@ -73,7 +73,7 @@ func (p *Plan) ApplyFusedWith(f *band.Factor, sweeps []*Plan, e *matrix.Dense, j
 		for _, sp := range sweeps {
 			sp.applyBlock(view, wk, tc)
 		}
-		f.ApplyQ1Block(blas.NoTrans, view, wk, tc)
+		f.ApplyQ1Block(view, wk, tc)
 		tc.AttributeFlops(trace.PhaseUpdateQ2, q2PerCol*int64(view.Cols))
 		tc.AttributeFlops(trace.PhaseUpdateQ1, q1PerCol*int64(view.Cols))
 	}

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/band"
-	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -39,7 +38,7 @@ func TestApplyFusedMatchesTwoPhase(t *testing.T) {
 		}
 		want := e.Clone()
 		p.Apply(want, nil, tc.colBlock, nil)
-		f.ApplyQ1(blas.NoTrans, want, nil, tc.colBlock, nil)
+		f.ApplyQ1(want, nil, tc.colBlock, nil)
 
 		// Inline job.
 		got := e.Clone()
@@ -79,7 +78,7 @@ func TestApplyFusedArenaReuse(t *testing.T) {
 		}
 		want := e.Clone()
 		p.Apply(want, nil, 9, nil)
-		f.ApplyQ1(blas.NoTrans, want, nil, 9, nil)
+		f.ApplyQ1(want, nil, 9, nil)
 		got := e.Clone()
 		s := sched.New(2)
 		job := s.NewJob(nil)

@@ -28,40 +28,41 @@ import (
 )
 
 // defaultGroup picks the diamond width for a chase bandwidth b. Wider
-// diamonds improve blocking but the aggregated V spans b+g−1 rows, so the
-// applied flops grow by (b+g−1)/b — the paper's "small extra cost". The
-// ablation bench (BenchmarkAblationGroupWidth) locates the sweet spot well
-// below b on this substrate.
+// diamonds raise the GEMM inner dimension k of both apply products, but the
+// aggregated V spans b+g−1 rows, so the applied flops grow by (b+g−1)/b —
+// the paper's "small extra cost" — and so do the retained V/Y slabs. The
+// two-GEMM apply also wants k to be a multiple of the 8-row GEMM
+// micro-kernel, or a fringe kernel runs on every diamond. The record
+// (eigbench -exp ablate-group and the traced eig_n2048 benchmark, n=2048,
+// nb=48, 2 workers; DESIGN.md §7) has g = 16–48 on one plateau for Q₂
+// alone, g = 8 and 12 — the old b/4 rule — behind it, and the fused
+// back-transformation faster at g = 24 than at 16. So: b/2 rounded down to
+// a multiple of 8, within [4, 32].
 func defaultGroup(b int) int {
-	g := b / 4
-	if g < 4 {
-		g = 4
-	}
-	if g > 16 {
-		g = 16
-	}
-	return g
+	return min(32, max(4, (b/2)&^7))
 }
 
 // diamond is one aggregated block of reflectors: group j covers sweeps
-// [j·g, (j+1)·g) at a fixed chase level.
+// [j·g, (j+1)·g) at a fixed chase level. It is held in the two-GEMM form
+// H = I − Y·Vᵀ: V with its unit diagonal and zero fill written out, and
+// Y = V·T formed once at plan build, so applying it needs Dgemm only.
 type diamond struct {
-	rowStart int // global row of the first reflector's implicit 1
+	rowStart int // global row of the first reflector's unit diagonal
 	rows     int // row span of the aggregated V
 	k        int // number of reflectors (columns of V)
 	v        []float64
-	t        []float64
+	y        []float64
 }
 
 // Plan precomputes the diamond blocks of Q₂ for a chase result, so repeated
 // applications (e.g. to different eigenvector sets) skip the aggregation.
-// A Plan built with a workspace arena borrows arena storage (the V/T slab,
+// A Plan built with a workspace arena borrows arena storage (the V/Y slab,
 // the block list) and is only valid until the arena is recycled.
 type Plan struct {
 	n     int
 	b     int // chase bandwidth (== stage-1 tile size in the driver)
 	group int
-	maxK  int // widest diamond (bounds the Larfb workspace)
+	maxK  int // widest diamond (bounds the apply workspace)
 	ws    *work.Arena
 	// blocks in application order for Q₂·E (valid DAG linearization:
 	// sweep-group descending, level ascending within a group).
@@ -71,12 +72,14 @@ type Plan struct {
 }
 
 // planCache is the retained per-arena aggregation scratch: the Plan header,
-// the (sweep, level) lattice index and the block list backing array.
+// the (sweep, level) lattice index, the block list backing array, and the
+// τ and T scratch each diamond's Y is formed through.
 type planCache struct {
 	plan   Plan
 	idx    []int32
 	blocks []diamond
 	tau    []float64
+	t      []float64
 }
 
 // NewPlan builds the diamond decomposition of Q₂ with the given group size
@@ -86,7 +89,7 @@ func NewPlan(res *bulge.Result, group int, ws *work.Arena) *Plan {
 }
 
 // NewPlanKeyed is NewPlan with explicit arena keys for the retained plan
-// header and the V/T slab. The fixed-key NewPlan retains exactly one plan
+// header and the V/Y slab. The fixed-key NewPlan retains exactly one plan
 // per arena; multi-sweep SBR pipelines need one live plan per narrowing
 // sweep plus the chase's, so each takes its own key pair.
 func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey work.Key) *Plan {
@@ -166,7 +169,7 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 		return
 	}
 
-	// First pass: count blocks and size the V/T slab exactly.
+	// First pass: count blocks and size the V/Y slab exactly.
 	nBlocks, slabCap := 0, 0
 	for j := ng - 1; j >= 0; j-- {
 		for l := 0; l < nl; l++ {
@@ -175,7 +178,7 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 				continue
 			}
 			nBlocks++
-			slabCap += rows*k + k*k
+			slabCap += 2 * rows * k
 		}
 	}
 	slab := ws.SlabOf(slabKey, slabCap)
@@ -184,6 +187,7 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 	}
 	if cap(cache.tau) < group {
 		cache.tau = make([]float64, group)
+		cache.t = make([]float64, group*group)
 	}
 
 	// Second pass: build the diamonds in application order for Q₂·E
@@ -197,9 +201,12 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 			}
 			d := diamond{rowStart: rowStart, rows: rows, k: k}
 			d.v = slab.Take(rows * k)
-			d.t = slab.Take(k * k)
+			d.y = slab.Take(rows * k)
 			tau := cache.tau[:k]
 			clear(tau)
+			for c := 0; c < k; c++ {
+				d.v[c+c*rows] = 1
+			}
 			hi := min(lo+group, maxSweep+1)
 			for s2 := lo; s2 < hi; s2++ {
 				r := at(s2, l)
@@ -216,7 +223,12 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 				tau[c] = r.Tau
 				copy(d.v[local+1+c*rows:], r.V)
 			}
-			householder.Larft(rows, k, d.v, rows, tau, d.t, k)
+			// T lives only long enough to form Y: Larft writes its upper
+			// triangle, the clear keeps the strict lower one zero for V·T.
+			t := cache.t[:k*k]
+			clear(t)
+			householder.Larft(rows, k, d.v, rows, tau, t, k)
+			blas.Dgemm(blas.NoTrans, blas.NoTrans, rows, k, k, 1, d.v, rows, t, k, 0, d.y, rows)
 			blocks = append(blocks, d)
 			if k > p.maxK {
 				p.maxK = k
@@ -231,13 +243,13 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 // NumBlocks reports how many diamond blocks the plan holds.
 func (p *Plan) NumBlocks() int { return len(p.blocks) }
 
-// MaxK reports the widest diamond (reflector count); it bounds the Larfb
+// MaxK reports the widest diamond (reflector count); it bounds the apply
 // workspace an ApplyBlock caller must provide (MaxK·cols floats).
 func (p *Plan) MaxK() int { return p.maxK }
 
 // FlopsPerCol returns the flops Q₂ application spends per eigenvector
-// column (the Larfb cost summed over all diamonds). The fused path uses it
-// to attribute the Q₂ share of its single wall-clock phase.
+// column (4·rows·k per diamond: Vᵀ·C and Y·W). The fused path uses it to
+// attribute the Q₂ share of its single wall-clock phase.
 func (p *Plan) FlopsPerCol() int64 {
 	var f int64
 	for i := range p.blocks {
@@ -336,14 +348,14 @@ func (p *Plan) ApplyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) 
 	p.applyBlock(e, work, tc)
 }
 
-// applyBlock applies every diamond to one column block of E. work must hold
-// at least p.maxK·e.Cols floats.
+// applyBlock applies every diamond to one column block of E, two Dgemm
+// calls each (W = Vᵀ·C, C −= Y·W). work must hold at least p.maxK·e.Cols
+// floats.
 func (p *Plan) applyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) {
 	for i := range p.blocks {
 		d := &p.blocks[i]
-		sub := e.View(d.rowStart, 0, d.rows, e.Cols)
-		householder.Larfb(blas.Left, blas.NoTrans, d.rows, e.Cols, d.k,
-			d.v, d.rows, d.t, d.k, sub.Data, sub.Stride, work[:d.k*e.Cols])
+		householder.ApplyWY(d.rows, e.Cols, d.k, d.v, d.rows, d.y, d.rows,
+			e.Data[d.rowStart:], e.Stride, work)
 		tc.AddFlops(trace.KLarfb, 4*int64(d.rows)*int64(e.Cols)*int64(d.k))
 	}
 }
@@ -369,4 +381,25 @@ func ApplyNaive(res *bulge.Result, e *matrix.Dense, tc *trace.Collector) {
 		householder.Larf(blas.Left, len(v), e.Cols, v, 1, r.Tau, sub.Data, sub.Stride, work)
 		tc.AddFlops(trace.KLarf, 4*int64(len(v))*int64(e.Cols))
 	}
+}
+
+// WorkspaceBytes models the arena storage a vectors solve's Q₂ plan retains
+// for an order-n chase of bandwidth b with diamond width group (≤ 0 → the
+// default): the V and Y slabs. A diamond spans at most b+g−1 rows, and its
+// columns are lattice slots, of which there are at most n²/(2b) + n (sweep
+// s has ⌈(n−1−s)/b⌉ levels). The fused apply's worker scratch is added for
+// the given worker count and the default column block.
+func WorkspaceBytes(n, b, group, workers int) int64 {
+	if n <= 0 || b <= 0 {
+		return 0
+	}
+	if group <= 0 {
+		group = defaultGroup(b)
+	}
+	n64 := int64(n)
+	slots := n64*n64/int64(2*b) + n64
+	floats := 2 * slots * int64(b+group-1)
+	// +8: the cache-line padding of each work.WorkerSlabs slice.
+	floats += int64(max(1, workers)) * (int64(max(b, group))*int64(tune.ColBlock(n, b, workers)) + 8)
+	return 8 * floats
 }

@@ -8,6 +8,7 @@ import (
 	"repro/internal/blas"
 	"repro/internal/matrix"
 	"repro/internal/sched"
+	"repro/internal/work"
 )
 
 func randSym(rng *rand.Rand, n int) *matrix.Dense {
@@ -175,20 +176,19 @@ func TestReduceScheduledMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestApplyQ1TransInverse checks that Q₁ is orthogonal: Q₁ᵀ·Q₁ = I, with
+// Q₁ formed by BuildQ1 and the product taken explicitly (the applier only
+// applies Q₁ itself).
 func TestApplyQ1TransInverse(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
-	n, nb, m := 20, 4, 6
-	a := randSym(rng, n)
-	f := Reduce(a, nb, nil, nil, nil)
-	c := matrix.NewDense(n, m)
-	for i := range c.Data {
-		c.Data[i] = rng.NormFloat64()
-	}
-	got := c.Clone()
-	f.ApplyQ1(blas.NoTrans, got, nil, 0, nil)
-	f.ApplyQ1(blas.Trans, got, nil, 0, nil)
-	if !got.Equalish(c, 1e-12) {
-		t.Fatal("Q1ᵀ·Q1·C != C")
+	for _, tc := range []struct{ n, nb int }{{20, 4}, {23, 6}} {
+		f := Reduce(randSym(rng, tc.n), tc.nb, nil, nil, nil)
+		q := f.BuildQ1(nil)
+		qtq := matrix.NewDense(tc.n, tc.n)
+		blas.Dgemm(blas.Trans, blas.NoTrans, tc.n, tc.n, tc.n, 1, q.Data, q.Stride, q.Data, q.Stride, 0, qtq.Data, qtq.Stride)
+		if !qtq.Equalish(matrix.Eye(tc.n), 1e-12) {
+			t.Fatalf("n=%d nb=%d: Q1ᵀ·Q1 != I", tc.n, tc.nb)
+		}
 	}
 }
 
@@ -202,10 +202,10 @@ func TestApplyQ1ParallelMatchesSequential(t *testing.T) {
 		c.Data[i] = rng.NormFloat64()
 	}
 	want := c.Clone()
-	f.ApplyQ1(blas.NoTrans, want, nil, 5, nil)
+	f.ApplyQ1(want, nil, 5, nil)
 	s := sched.New(3)
 	got := c.Clone()
-	f.ApplyQ1(blas.NoTrans, got, s.NewJob(nil), 5, nil)
+	f.ApplyQ1(got, s.NewJob(nil), 5, nil)
 	s.Shutdown()
 	if !got.Equalish(want, 0) {
 		t.Fatal("parallel ApplyQ1 differs from sequential")
@@ -250,5 +250,68 @@ func TestReduceTinyAndDegenerate(t *testing.T) {
 	f1 := Reduce(one, 4, nil, nil, nil)
 	if f1.Band.At(0, 0) != 42 {
 		t.Fatal("1x1 reduce broken")
+	}
+}
+
+// TestTFactorsStrictLowerZero pins the invariant the two-GEMM Q₁ operands
+// are formed on: Tsqrt writes only the upper triangle of T, and the T
+// factors Reduce hands out have an exactly zero strict lower triangle —
+// also when the arena they come from served an earlier, different solve.
+func TestTFactorsStrictLowerZero(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	nb, m2 := 6, 5
+	r := matrix.NewDense(nb, nb)
+	for j := 0; j < nb; j++ {
+		for i := 0; i <= j; i++ {
+			r.Set(i, j, rng.NormFloat64())
+		}
+	}
+	a2 := matrix.NewDense(m2, nb)
+	for i := range a2.Data {
+		a2.Data[i] = rng.NormFloat64()
+	}
+	for i := range a2.Data[:m2] {
+		a2.Data[i] = 0 // first column already annihilated: τ₀ = 0
+	}
+	tm := make([]float64, nb*nb)
+	for i := range tm {
+		tm[i] = math.NaN()
+	}
+	Tsqrt(nb, m2, r.Data, r.Stride, a2.Data, a2.Stride, tm, nb, make([]float64, nb), nil)
+	for j := 0; j < nb; j++ {
+		for i := j + 1; i < nb; i++ {
+			if !math.IsNaN(tm[i+j*nb]) {
+				t.Fatalf("Tsqrt wrote T[%d,%d] below the diagonal", i, j)
+			}
+		}
+	}
+
+	strictLowerZero := func(tf []float64, k int) bool {
+		for j := 0; j < k; j++ {
+			for i := j + 1; i < k; i++ {
+				if tf[i+j*k] != 0 {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	ws := work.NewArena()
+	for _, tc := range []struct{ n, nb int }{{40, 8}, {37, 8}, {30, 6}} {
+		// Dirty the arena's T slab first so a missing clear would show.
+		for i, dirty := 0, ws.SlabOf(work.Stage1Slab, 4096).Take(4096); i < len(dirty); i++ {
+			dirty[i] = math.NaN()
+		}
+		f := Reduce(randSym(rng, tc.n), tc.nb, nil, ws, nil)
+		for k := range f.Tge {
+			if !strictLowerZero(f.Tge[k], f.PanelReflectors(k)) {
+				t.Fatalf("n=%d nb=%d: Tge[%d] strict lower not zero", tc.n, tc.nb, k)
+			}
+			for _, tts := range f.Tts[k] {
+				if !strictLowerZero(tts, tc.nb) {
+					t.Fatalf("n=%d nb=%d: a Tts of panel %d has a nonzero strict lower triangle", tc.n, tc.nb, k)
+				}
+			}
+		}
 	}
 }

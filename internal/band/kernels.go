@@ -141,3 +141,20 @@ func Tsmqr(side blas.Side, trans blas.Transpose, k, n1, m1, m2 int, a1 []float64
 	blas.Dgemm(blas.NoTrans, blas.Trans, m1, m2, k, -1, w, m1, v2, ldv, 1, a2, lda2)
 	tc.AddFlops(trace.KLarfb, int64(m1)*int64(k)*int64(4*m2+k))
 }
+
+// applyTsWY computes [A1; A2] := H·[A1; A2] for the TS block reflector of
+// Tsqrt in its two-GEMM form H = I − Y·Vᵀ, with V = [I_k; V2] and
+// Y = V·T = [T; V2·T]: W = A1 + V2ᵀ·A2 (A1 staged into W by memmove), then
+// A1 −= T·W and A2 −= (V2·T)·W — three Dgemm calls, no triangular multiply.
+// A1 is k×n1, A2 is m2×n1, v2t holds V2·T (m2×k), and T's strict lower
+// triangle must be zero (Tsqrt never writes it into its zeroed buffer).
+// work needs k·n1 floats.
+func applyTsWY(k, n1, m2 int, a1 []float64, lda1 int, a2 []float64, lda2 int, v2 []float64, ldv int, t []float64, ldt int, v2t []float64, ldvt int, work []float64) {
+	w := work[:k*n1]
+	for j := 0; j < n1; j++ {
+		copy(w[j*k:(j+1)*k], a1[j*lda1:j*lda1+k])
+	}
+	blas.Dgemm(blas.Trans, blas.NoTrans, k, n1, m2, 1, v2, ldv, a2, lda2, 1, w, k)
+	blas.Dgemm(blas.NoTrans, blas.NoTrans, k, n1, k, -1, t, ldt, w, k, 1, a1, lda1)
+	blas.Dgemm(blas.NoTrans, blas.NoTrans, m2, n1, k, -1, v2t, ldvt, w, k, 1, a2, lda2)
+}

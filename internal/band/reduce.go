@@ -124,8 +124,18 @@ type Factor struct {
 	// Band is the resulting symmetric band matrix (bandwidth NB).
 	Band *matrix.SymBand
 
+	// The two-GEMM form of Q₁ the back-transformation applies, formed by
+	// PrepareQ1 (only vectors solves pay for it): vge[k] is panel k's
+	// reflector block with its unit diagonal explicit (m1×kr), yge[k] =
+	// vge[k]·Tge[k], and v2t[k][i-(k+2)] = V₂·Tts (m2×nb) for the TS
+	// reflector of tile (i, k).
+	vge, yge [][]float64
+	v2t      [][][]float64
+	q1Ready  bool
+
 	// ws is the arena the Factor was built from (nil for one-shot use);
-	// ApplyQ1 draws its sequential column-block scratch from it.
+	// ApplyQ1 draws its sequential column-block scratch and PrepareQ1 its
+	// V/Y slab from it.
 	ws *work.Arena
 }
 
@@ -349,8 +359,8 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 	tm.FromLapack(a)
 	sc := stage1For(ws)
 	f := &sc.f
-	tge, tts := f.Tge, f.Tts
-	*f = Factor{N: n, NB: nb, NT: tm.NT, A: tm, ws: ws}
+	tge, tts, vge, yge, v2t := f.Tge, f.Tts, f.vge, f.yge, f.v2t
+	*f = Factor{N: n, NB: nb, NT: tm.NT, A: tm, ws: ws, vge: vge[:0], yge: yge[:0], v2t: v2t[:0]}
 	nt := f.NT
 
 	// Carve every T factor out of one slab: the per-panel counts are known
@@ -739,4 +749,34 @@ func itoa(v int) string {
 		v /= 10
 	}
 	return string(buf[p:])
+}
+
+// WorkspaceBytes models the arena storage an order-n stage-1 reduction with
+// tile size nb (≤ 0 → DefaultNB) on the given worker count retains: the tile
+// matrix, the T-factor slab, the per-worker kernel scratch and the extracted
+// band that ReduceWith requests, plus — for vectors solves — PrepareQ1's
+// V/Y slab. It mirrors those requests term by term, so admission control
+// charges what the arena really keeps.
+func WorkspaceBytes(n, nb, workers int, vectors bool) int64 {
+	if n <= 0 {
+		return 0
+	}
+	if nb <= 0 {
+		nb = DefaultNB
+	}
+	nt := (n + nb - 1) / nb
+	n64, nb64 := int64(n), int64(nb)
+	floats := n64 * n64                                     // tiles
+	floats += int64(max(1, workers)) * (nb64*nb64 + 2*nb64) // kernel scratch
+	floats += int64(min(nb, n-1)+1) * n64                   // extracted band
+	for k := 0; k < nt-1; k++ {
+		m1 := min(nb64, n64-int64(k+1)*nb64) // rows of tile row k+1
+		below := max(0, n64-int64(k+2)*nb64) // rows of the TS tiles under it
+		nts := int64(nt - k - 2)
+		floats += m1*m1 + nts*nb64*nb64 // Tge, Tts
+		if vectors {
+			floats += 2*m1*m1 + nb64*below // vge, yge, v2t
+		}
+	}
+	return 8 * floats
 }

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/backtransform"
 	"repro/internal/band"
-	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -57,7 +56,7 @@ func (fx *backtransFixture) legacy(s *sched.Scheduler, colBlock int, dst *matrix
 	}
 	start := time.Now()
 	fx.plan.Apply(dst, j1, colBlock, nil)
-	fx.f.ApplyQ1(blas.NoTrans, dst, j2, colBlock, nil)
+	fx.f.ApplyQ1(dst, j2, colBlock, nil)
 	return time.Since(start)
 }
 

@@ -25,18 +25,18 @@ func nonEmpty(t *testing.T, tab *Table, wantRows int) {
 	}
 }
 
-func TestTable1Smoke(t *testing.T)  { nonEmpty(t, Table1(96), 3) }
-func TestTable2Smoke(t *testing.T)  { nonEmpty(t, Table2(), 3) }
-func TestTable3Smoke(t *testing.T)  { nonEmpty(t, Table3(), 3) }
-func TestModelSmoke(t *testing.T)   { nonEmpty(t, ModelTable([]int{128, 256}), 2) }
-func TestFig1aSmoke(t *testing.T)   { nonEmpty(t, Figure1('a', []int{64, 96}, 0), 2) }
-func TestFig1bSmoke(t *testing.T)   { nonEmpty(t, Figure1('b', []int{64, 96}, 0), 2) }
-func TestFig1vSmoke(t *testing.T)   { nonEmpty(t, Figure1ValuesOnly([]int{64}), 1) }
-func TestFig2Smoke(t *testing.T)    { nonEmpty(t, Figure2(48, 6), 5) }
-func TestFig3Smoke(t *testing.T)    { nonEmpty(t, Figure3(64, 8, 8, 2), 5) }
-func TestFig5Smoke(t *testing.T)    { nonEmpty(t, Figure5(96, []int{8, 16}, 0), 2) }
+func TestTable1Smoke(t *testing.T)   { nonEmpty(t, Table1(96), 3) }
+func TestTable2Smoke(t *testing.T)   { nonEmpty(t, Table2(), 3) }
+func TestTable3Smoke(t *testing.T)   { nonEmpty(t, Table3(), 3) }
+func TestModelSmoke(t *testing.T)    { nonEmpty(t, ModelTable([]int{128, 256}), 2) }
+func TestFig1aSmoke(t *testing.T)    { nonEmpty(t, Figure1('a', []int{64, 96}, 0), 2) }
+func TestFig1bSmoke(t *testing.T)    { nonEmpty(t, Figure1('b', []int{64, 96}, 0), 2) }
+func TestFig1vSmoke(t *testing.T)    { nonEmpty(t, Figure1ValuesOnly([]int{64}), 1) }
+func TestFig2Smoke(t *testing.T)     { nonEmpty(t, Figure2(48, 6), 5) }
+func TestFig3Smoke(t *testing.T)     { nonEmpty(t, Figure3(64, 8, 8, 2), 5) }
+func TestFig5Smoke(t *testing.T)     { nonEmpty(t, Figure5(96, []int{8, 16}, 0), 2) }
 func TestFractionSmoke(t *testing.T) { nonEmpty(t, Fraction(96, 0), 3) }
-func TestVerifySmoke(t *testing.T)  { nonEmpty(t, VerifyTable(48, 0), 4) }
+func TestVerifySmoke(t *testing.T)   { nonEmpty(t, VerifyTable(48, 0), 4) }
 
 func TestFig4AllVariantsSmoke(t *testing.T) {
 	for _, v := range []byte{'a', 'b', 'c', 'd'} {
@@ -52,7 +52,7 @@ func TestFig4AllVariantsSmoke(t *testing.T) {
 }
 
 func TestAblationsSmoke(t *testing.T) {
-	nonEmpty(t, AblationGroup(96, 8, []int{2, 4}), 3)
+	nonEmpty(t, AblationGroup(96, 8, 2, []int{2, 4}), 3)
 	nonEmpty(t, AblationStage2Cores(96, 8, []int{2}), 3)
 	nonEmpty(t, AblationStage1Sched(96, 16, []int{2}), 2)
 	st := Stage2ParallelCheck(64, 8, []int{1, 2})

@@ -24,6 +24,7 @@ package bulge
 
 import (
 	"context"
+	"unsafe"
 
 	"repro/internal/matrix"
 	"repro/internal/sched"
@@ -424,4 +425,20 @@ func blockDeps(w *workBand, r0, r1, c0, c1, col0 int) []sched.Dep {
 		deps = append(deps, sched.RW(g))
 	}
 	return deps
+}
+
+// WorkspaceBytes models the arena storage a chase of an order-n band of
+// bandwidth b on the given worker count retains: the extended working band,
+// the reflector-essential slab (at most n(n−1)/2 floats: sweep s annihilates
+// at most n−1−s entries), the reflector lattice, the per-worker kernel
+// scratch and the tridiagonal output.
+func WorkspaceBytes(n, b, workers int) int64 {
+	if n <= 0 || b <= 0 {
+		return 0
+	}
+	n64 := int64(n)
+	kd := int64(max(b, min(2*b-1, n-1)))
+	floats := (kd+1)*n64 + n64*(n64-1)/2 + int64(max(1, workers))*int64(b+1) + 2*n64
+	lattice := n64 * int64((n+b-1)/b) * int64(unsafe.Sizeof(Reflector{}))
+	return 8*floats + lattice
 }

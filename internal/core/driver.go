@@ -16,8 +16,10 @@ import (
 	"context"
 	"fmt"
 
+	"repro/internal/backtransform"
 	"repro/internal/band"
 	"repro/internal/blas"
+	"repro/internal/bulge"
 	"repro/internal/matrix"
 	"repro/internal/onestage"
 	"repro/internal/sched"
@@ -171,28 +173,38 @@ type Options struct {
 	Dst *matrix.Dense
 }
 
-// EstimateWorkspaceBytes is the admission-control model of one solve's peak
-// internal workspace: the dense working copy, the stage-1 tile storage, the
-// band/workband/reflector structures (O(n·nb)), and — when vectors are
-// computed — the eigenvector staging matrix plus the D&C basis and merge
-// scratch (≈2n² more). It deliberately overestimates slightly: the batch
-// layer uses it to bound how many solves may hold workspace concurrently
-// under a memory budget, where admitting late is recoverable and admitting
-// past physical memory is not. nb ≤ 0 means the default tile size.
-func EstimateWorkspaceBytes(n, nb int, vectors bool) int64 {
+// EstimateWorkspaceBytes is the admission-control model of what one
+// order-n solve retains in its workspace arena on the given worker count:
+// the dense working copy plus each layer's own model — stage 1
+// (band.WorkspaceBytes: tiles, T factors, and for vectors the Q₁ V/Y slab),
+// the chase (bulge.WorkspaceBytes), and for vectors the Q₂ V/Y slab
+// (backtransform.WorkspaceBytes) and the tridiagonal solver's matrix pool
+// (tridiag.WorkspaceBytes). Each term bounds the buffers its package
+// requests, so the sum is at least what a warmed arena reports through
+// work.Arena.Bytes: the batch layer uses it to bound how many solves may
+// hold workspace concurrently under a memory budget, where admitting late
+// is recoverable and admitting past physical memory is not. nb ≤ 0 means
+// the default tile size and group ≤ 0 the default diamond width; the model
+// is of the direct (single-sweep) plan.
+func EstimateWorkspaceBytes(n, nb, group, workers int, vectors bool) int64 {
 	if n <= 0 {
 		return 0
 	}
 	if nb <= 0 {
 		nb = band.DefaultNB
 	}
-	nn := int64(n) * int64(n)
-	bytes := 2 * nn // dense working copy + tile storage
+	b := min(nb, max(1, n-1)) // the chase bandwidth
+	n64 := int64(n)
+	bytes := 8 * n64 * n64 // dense working copy
+	bytes += band.WorkspaceBytes(n, nb, workers, vectors)
+	bytes += bulge.WorkspaceBytes(n, b, workers)
 	if vectors {
-		bytes += 3 * nn // vector staging + D&C basis and merge scratch
+		bytes += backtransform.WorkspaceBytes(n, b, group, workers)
+		bytes += tridiag.WorkspaceBytes(n, workers)
+	} else {
+		bytes += 8 * 2 * n64 // sterf's d/e copies
 	}
-	bytes += 8 * int64(n) * int64(nb+2) // band, workband, reflector slabs, scratch
-	return 8 * bytes
+	return bytes
 }
 
 // Result of an eigensolve.

@@ -23,7 +23,6 @@ import (
 
 	"repro/internal/backtransform"
 	"repro/internal/band"
-	"repro/internal/blas"
 	"repro/internal/bulge"
 	"repro/internal/matrix"
 	"repro/internal/sbr"
@@ -414,7 +413,7 @@ func (p Backtrans) Run(ctx context.Context, st *SolveState) error {
 	}
 	job = st.phaseJob(ctx, p, st.s)
 	st.tc.Phase(trace.PhaseUpdateQ1, func() {
-		st.f1.ApplyQ1(blas.NoTrans, st.evecs, job, colBlock, st.tc)
+		st.f1.ApplyQ1(st.evecs, job, colBlock, st.tc)
 	})
 	if err := job.Err(); err != nil {
 		return err

@@ -179,3 +179,35 @@ func Larfb(side blas.Side, trans blas.Transpose, m, n, k int, v []float64, ldv i
 		blas.Daxpy(m, -1, w[j*m:], 1, c[j*ldc:], 1)
 	}
 }
+
+// The back-transformations apply each block reflector to many column blocks
+// of the eigenvector matrix, so they precompute the Bischof–Van Loan WY form
+// H = I − Y·Vᵀ with Y = V·T once per solve. Every application is then two
+// plain Dgemm calls: no triangular multiply by V₁ or T remains at apply time.
+
+// ExplicitV copies the m×k reflector block stored LAPACK-style in src (the
+// essentials strictly below the diagonal; whatever lies on and above it is
+// ignored) into dst with its unit diagonal and the zeros above it written
+// out, so dst can be a plain Dgemm operand.
+func ExplicitV(m, k int, src []float64, lds int, dst []float64, ldd int) {
+	for j := 0; j < k; j++ {
+		col := dst[j*ldd : j*ldd+m]
+		clear(col[:j])
+		col[j] = 1
+		copy(col[j+1:], src[j+1+j*lds:j*lds+m])
+	}
+}
+
+// ApplyWY computes C := (I − Y·Vᵀ)·C = H·C for the m×n matrix C, with V the
+// explicit m×k reflector block (see ExplicitV) and Y = V·T, formed by one
+// Dgemm with the k×k factor T — which needs T's strict lower triangle zero,
+// as Larft leaves a zeroed buffer: W = Vᵀ·C, then C −= Y·W. work must have
+// length ≥ k·n.
+func ApplyWY(m, n, k int, v []float64, ldv int, y []float64, ldy int, c []float64, ldc int, work []float64) {
+	if m == 0 || n == 0 || k == 0 {
+		return
+	}
+	w := work[:k*n]
+	blas.Dgemm(blas.Trans, blas.NoTrans, k, n, m, 1, v, ldv, c, ldc, 0, w, k)
+	blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, k, -1, y, ldy, w, k, 1, c, ldc)
+}

@@ -255,3 +255,67 @@ func TestLarfbZeroSizes(t *testing.T) {
 	Larfb(blas.Right, blas.Trans, 3, 0, 2, nil, 1, nil, 2, nil, 3, nil)
 	Larfb(blas.Left, blas.NoTrans, 3, 3, 0, nil, 1, nil, 1, make([]float64, 9), 3, nil)
 }
+
+// TestLarftKeepsStrictLowerUntouched pins the invariant Y = V·T relies on:
+// Larft writes only the upper triangle of T (τ = 0 columns included), so a
+// T built in a zeroed buffer has an exactly zero strict lower triangle and
+// V·T is a plain Dgemm.
+func TestLarftKeepsStrictLowerUntouched(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for _, dims := range [][2]int{{6, 3}, {13, 5}, {20, 12}} {
+		m, k := dims[0], dims[1]
+		v, tau := buildVT(rng, m, k)
+		tau[k/2] = 0
+		tm := make([]float64, k*k)
+		for i := range tm {
+			tm[i] = math.NaN()
+		}
+		Larft(m, k, v, m, tau, tm, k)
+		for j := 0; j < k; j++ {
+			for i := 0; i < k; i++ {
+				if got := tm[i+j*k]; (i > j) != math.IsNaN(got) {
+					t.Fatalf("m=%d k=%d: T[%d,%d] = %g (strict lower must stay untouched, upper written)", m, k, i, j, got)
+				}
+			}
+		}
+	}
+}
+
+// TestApplyWYMatchesLarfb checks the two-GEMM form H·C = C − Y·(Vᵀ·C) with
+// V from ExplicitV and Y = V·T against Larfb and the dense product, on
+// reflector counts around the 8-row micro-kernel and with a τ = 0 column.
+func TestApplyWYMatchesLarfb(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, dims := range [][2]int{{6, 1}, {9, 4}, {17, 7}, {30, 8}, {40, 13}, {12, 12}} {
+		m, k := dims[0], dims[1]
+		n := 11
+		v, tau := buildVT(rng, m, k)
+		if k > 2 {
+			tau[1] = 0
+		}
+		tm := make([]float64, k*k)
+		Larft(m, k, v, m, tau, tm, k)
+		ve := make([]float64, m*k)
+		ExplicitV(m, k, v, m, ve, m)
+		y := make([]float64, m*k)
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, m, k, k, 1, ve, m, tm, k, 0, y, m)
+
+		c := matrix.NewDense(m, n)
+		for i := range c.Data {
+			c.Data[i] = rng.NormFloat64()
+		}
+		h := denseH(m, k, v, tau)
+		want := matrix.NewDense(m, n)
+		blas.Dgemm(blas.NoTrans, blas.NoTrans, m, n, m, 1, h.Data, h.Stride, c.Data, c.Stride, 0, want.Data, want.Stride)
+		got := c.Clone()
+		ApplyWY(m, n, k, ve, m, y, m, got.Data, got.Stride, make([]float64, k*n))
+		if !got.Equalish(want, 1e-12*float64(m)) {
+			t.Fatalf("m=%d k=%d: ApplyWY != H·C", m, k)
+		}
+		ref := c.Clone()
+		Larfb(blas.Left, blas.NoTrans, m, n, k, v, m, tm, k, ref.Data, ref.Stride, make([]float64, k*n))
+		if !got.Equalish(ref, 1e-12*float64(m)) {
+			t.Fatalf("m=%d k=%d: ApplyWY != Larfb", m, k)
+		}
+	}
+}

@@ -320,30 +320,40 @@ func (s *Server) handleJob(w http.ResponseWriter, r *http.Request) {
 		writeError(w, CodeNotFound, "no job "+id)
 		return
 	}
-	if waitStr := r.URL.Query().Get("wait"); waitStr != "" && !j.Status.Terminal() {
+	// A malformed wait is the request's fault whatever state the job is in,
+	// so it is rejected before the terminal-state shortcut.
+	if waitStr := r.URL.Query().Get("wait"); waitStr != "" {
 		d, err := time.ParseDuration(waitStr)
 		if err != nil || d < 0 {
 			writeError(w, CodeBadRequest, "bad wait duration "+waitStr)
 			return
 		}
-		if d > s.cfg.MaxWait {
-			d = s.cfg.MaxWait
-		}
-		if lj := s.liveFor(id); lj != nil {
-			t := time.NewTimer(d)
-			select {
-			case <-lj.done:
-			case <-t.C:
-			case <-r.Context().Done():
+		if !j.Status.Terminal() {
+			if j, err = s.waitTerminal(r, id, d); err != nil {
+				writeError(w, CodeNotFound, "no job "+id)
+				return
 			}
-			t.Stop()
-		}
-		if j, err = s.cfg.Store.Get(id); err != nil {
-			writeError(w, CodeNotFound, "no job "+id)
-			return
 		}
 	}
 	writeJSON(w, http.StatusOK, infoView(j))
+}
+
+// waitTerminal long-polls job id for up to d (capped at MaxWait) and
+// returns its record as it stands then.
+func (s *Server) waitTerminal(r *http.Request, id string, d time.Duration) (*Job, error) {
+	if d > s.cfg.MaxWait {
+		d = s.cfg.MaxWait
+	}
+	if lj := s.liveFor(id); lj != nil {
+		t := time.NewTimer(d)
+		select {
+		case <-lj.done:
+		case <-t.C:
+		case <-r.Context().Done():
+		}
+		t.Stop()
+	}
+	return s.cfg.Store.Get(id)
 }
 
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {

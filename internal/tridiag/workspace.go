@@ -2,6 +2,7 @@ package tridiag
 
 import (
 	"sort"
+	"sync"
 
 	"repro/internal/matrix"
 )
@@ -17,9 +18,9 @@ import (
 // nil *Work is valid everywhere and falls back to plain allocation, so the
 // public one-shot entry points need no conditionals.
 type Work struct {
-	vecs map[int][][]float64     // free float buffers, keyed by exact length
-	mats map[int][]*matrix.Dense // free matrices, keyed by len(Data)
-	ints map[int][][]int         // free int buffers, keyed by exact length
+	vecs map[int][][]float64 // free float buffers, keyed by exact length
+	mats *matPool            // free matrices (shared by a WorkSet's members)
+	ints map[int][][]int     // free int buffers, keyed by exact length
 
 	// Per-merge scratch, reused across the sequential merge nodes.
 	perm     []int
@@ -39,9 +40,61 @@ type Work struct {
 func NewWork() *Work {
 	return &Work{
 		vecs: make(map[int][][]float64),
-		mats: make(map[int][]*matrix.Dense),
+		mats: &matPool{},
 		ints: make(map[int][][]int),
 	}
+}
+
+// matPool holds the free D&C matrices. The merge matrices are n×k and k×k
+// with k the non-deflated count, which differs from problem to problem, so
+// pooling by exact size would retain one buffer per size ever seen; instead
+// a request takes the smallest free buffer that holds it without wasting
+// more than half of it. One pool serves every member of a WorkSet, under a
+// mutex, because merge tasks free their children's matrices on whichever
+// worker runs them: with per-member pools the buffers drift toward some
+// members and the rest allocate afresh on every solve. Retention is thereby
+// bounded by the solve's peak live set rather than growing solve by solve.
+type matPool struct {
+	mu   sync.Mutex
+	free []*matrix.Dense
+}
+
+// get returns a free matrix whose backing array holds need floats (nil if
+// none fits), resliced to exactly need.
+func (p *matPool) get(need int) *matrix.Dense {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	best := -1
+	for i, m := range p.free {
+		if c := cap(m.Data); c >= need && c <= 2*need && (best < 0 || c < cap(p.free[best].Data)) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	m := p.free[best]
+	last := len(p.free) - 1
+	p.free[best], p.free[last] = p.free[last], nil
+	p.free = p.free[:last]
+	m.Data = m.Data[:need]
+	return m
+}
+
+func (p *matPool) put(m *matrix.Dense) {
+	p.mu.Lock()
+	p.free = append(p.free, m)
+	p.mu.Unlock()
+}
+
+func (p *matPool) bytes() int64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	var b int64
+	for _, m := range p.free {
+		b += int64(cap(m.Data)) * 8
+	}
+	return b
 }
 
 // WorkspaceBytes reports the pool's retained float storage (for workspace-
@@ -51,15 +104,15 @@ func (w *Work) WorkspaceBytes() int64 {
 	if w == nil {
 		return 0
 	}
+	return w.vecBytes() + w.mats.bytes()
+}
+
+// vecBytes is the retained vector storage of this pool alone.
+func (w *Work) vecBytes() int64 {
 	var b int64
 	for _, l := range w.vecs {
 		for _, v := range l {
 			b += int64(cap(v)) * 8
-		}
-	}
-	for _, l := range w.mats {
-		for _, m := range l {
-			b += int64(cap(m.Data)) * 8
 		}
 	}
 	return b
@@ -89,15 +142,12 @@ func (w *Work) putVec(b []float64) {
 }
 
 // mat returns a zeroed r×c matrix (Stride == r), reusing a pooled header
-// and backing array of the same element count when available.
+// and backing array when one fits (see matPool).
 func (w *Work) mat(r, c int) *matrix.Dense {
 	if w == nil || r*c == 0 {
 		return matrix.NewDense(r, c)
 	}
-	key := r * c
-	if l := w.mats[key]; len(l) > 0 {
-		m := l[len(l)-1]
-		w.mats[key] = l[:len(l)-1]
+	if m := w.mats.get(r * c); m != nil {
 		m.Rows, m.Cols, m.Stride = r, c, r
 		clear(m.Data)
 		return m
@@ -110,7 +160,7 @@ func (w *Work) putMat(m *matrix.Dense) {
 	if w == nil || m == nil || len(m.Data) == 0 {
 		return
 	}
-	w.mats[len(m.Data)] = append(w.mats[len(m.Data)], m)
+	w.mats.put(m)
 }
 
 // intVec returns a zeroed int buffer of exactly length n. Unlike the
@@ -287,18 +337,21 @@ func (w *Work) sortEnts(ents []dcEnt) {
 // from Worker(id) with the id the scheduler hands them; everything outside
 // a task body uses Seq().
 //
-// Buffers may migrate between member pools: a merge task recycles its
-// children's buffers into the pool of whichever worker ran it. That is safe
-// because each pool is only ever touched by the single goroutine currently
-// running a task for that worker (or, for Seq, by the submitting goroutine
-// outside the submit/Wait window), and the scheduler's lock orders a
-// buffer's last write before its next reuse.
+// Vector buffers may migrate between member pools: a merge task recycles
+// its children's buffers into the pool of whichever worker ran it. That is
+// safe because each pool is only ever touched by the single goroutine
+// currently running a task for that worker (or, for Seq, by the submitting
+// goroutine outside the submit/Wait window), and the scheduler's lock
+// orders a buffer's last write before its next reuse. The matrices, which
+// dominate the footprint, live in one mutex-guarded pool shared by all
+// members (see matPool).
 //
 // A nil *WorkSet is valid and falls back to plain allocation, like a nil
 // *Work.
 type WorkSet struct {
-	works []*Work // [0, workers) per scheduler worker; last entry = Seq
-	run   dcRun   // retained D&C DAG state (nodes, latch), reused per solve
+	works []*Work  // [0, workers) per scheduler worker; last entry = Seq
+	mats  *matPool // the matrix pool every member shares
+	run   dcRun    // retained D&C DAG state (nodes, latch), reused per solve
 }
 
 // NewWorkSet returns a pool set serving the given scheduler width.
@@ -314,8 +367,13 @@ func (s *WorkSet) Grow(workers int) {
 	if s == nil || workers < 1 {
 		return
 	}
+	if s.mats == nil {
+		s.mats = &matPool{}
+	}
 	for len(s.works) < workers+1 {
-		s.works = append(s.works, NewWork())
+		w := NewWork()
+		w.mats = s.mats
+		s.works = append(s.works, w)
 	}
 }
 
@@ -348,9 +406,9 @@ func (s *WorkSet) WorkspaceBytes() int64 {
 	if s == nil {
 		return 0
 	}
-	var b int64
+	b := s.mats.bytes()
 	for _, w := range s.works {
-		b += w.WorkspaceBytes()
+		b += w.vecBytes()
 	}
 	return b
 }
@@ -375,3 +433,20 @@ type entSorter struct{ s []dcEnt }
 func (e *entSorter) Len() int           { return len(e.s) }
 func (e *entSorter) Less(i, j int) bool { return e.s[i].val < e.s[j].val }
 func (e *entSorter) Swap(i, j int)      { e.s[i], e.s[j] = e.s[j], e.s[i] }
+
+// WorkspaceBytes models what a WorkSet retains after an order-n
+// eigenvector solve. The divide & conquer root merge holds at most five
+// n²-sized matrices at once — the sorted basis, the output basis, the n×k
+// survivor basis and GEMM destination, and the k×k secular matrix — and on
+// the parallel path the merges of the two subtrees below it add at most one
+// n² more; matPool's fit rule lets a reused buffer be up to twice its
+// request, so the shared pool settles at no more than 12·n² floats. The
+// vector pools add O(n) per member. Bisection with inverse iteration and
+// implicit QL/QR need at most one n² matrix and stay within the same bound.
+func WorkspaceBytes(n, workers int) int64 {
+	if n <= 0 {
+		return 0
+	}
+	n64 := int64(n)
+	return 8 * (12*n64*n64 + 16*n64*int64(max(1, workers)+1))
+}

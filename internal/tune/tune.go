@@ -19,15 +19,23 @@ const colBlockMin = 1
 // stream it applies.
 const blocksPerWorker = 4
 
+// colBlockBase is the preferred column-block width. Each block streams the
+// whole Q₂/Q₁ operator set through two GEMMs per block reflector, so a
+// wider block amortizes the packing of V and Y over more columns, until
+// too few blocks are left to balance the workers' tails. The record
+// (eigbench -exp ablate-colblock, n=2048, nb=48, 2 workers, seven runs;
+// DESIGN.md §8) has 128 ahead of the former base 64 in five of the seven
+// runs and 32 behind both in every run, by 5–17 %.
+const colBlockBase = 128
+
 // ColBlock picks the eigenvector column-block width shared by the Q₂ and Q₁
 // appliers (and the fused single-pass back-transformation): cols is the
 // number of eigenvector columns being updated, nb the stage-1 tile size /
-// bandwidth, workers the executing pool width. Sequential runs get a
-// cache-friendly max(64, nb); parallel runs shrink the block until every
-// worker owns at least blocksPerWorker blocks, but never below the Level-3
-// floor.
+// bandwidth, workers the executing pool width. Sequential runs get
+// max(colBlockBase, nb); parallel runs shrink the block until every worker
+// owns at least blocksPerWorker blocks, but never below the Level-3 floor.
 func ColBlock(cols, nb, workers int) int {
-	cb := 64
+	cb := colBlockBase
 	if nb > cb {
 		cb = nb
 	}

@@ -7,14 +7,15 @@ func TestColBlock(t *testing.T) {
 		name                  string
 		cols, nb, workers, cb int
 	}{
-		{"sequential default", 1000, 32, 1, 64},
-		{"sequential wide nb", 1000, 100, 1, 100},
+		{"sequential default", 1000, 32, 1, 128},
+		{"sequential wide nb", 1000, 150, 1, 150},
 		{"clamped to cols", 10, 32, 1, 10},
-		{"zero cols", 0, 32, 1, 64},
+		{"zero cols", 0, 32, 1, 128},
 		{"parallel splits work", 256, 32, 4, 32}, // 256/(4·4) = 16 → floor 32
 		{"parallel keeps floor", 128, 16, 8, 32},
-		{"parallel large stays 64", 4096, 32, 4, 64},
-		{"nb dominates in parallel", 4096, 96, 2, 96}, // 4096/8=512 ≥ 96
+		{"parallel shrinks the base", 1024, 48, 4, 64}, // 1024/16 = 64
+		{"parallel large stays at the base", 4096, 32, 4, 128},
+		{"nb dominates in parallel", 4096, 160, 2, 160}, // 4096/8=512 ≥ 160
 		{"tiny problem", 3, 8, 4, 3},
 	} {
 		if got := ColBlock(tc.cols, tc.nb, tc.workers); got != tc.cb {

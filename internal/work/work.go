@@ -47,13 +47,14 @@ const (
 	Stage1Factor    Key = "stage1.factor"    // band factorization header + T lists
 	TridiagD        Key = "tridiag.d"        // diagonal scratch copy
 	TridiagE        Key = "tridiag.e"        // off-diagonal scratch copy
-	BacktransSlab   Key = "backtrans.slab"   // diamond V/T aggregate storage
+	BacktransSlab   Key = "backtrans.slab"   // diamond V and Y = V·T storage
 	BacktransPlan   Key = "backtrans.plan"   // diamond lattice index + block list
 	BacktransApply  Key = "backtrans.apply"  // sequential Apply column-block scratch
 	BacktransWorker Key = "backtrans.worker" // per-worker parallel Apply scratch
 	FusedApply      Key = "backtrans.fused"  // fused Q₂+Q₁ column-block scratch
 	Q1Apply         Key = "stage1.q1apply"   // sequential ApplyQ1 column-block scratch
 	Q1Worker        Key = "stage1.q1worker"  // per-worker parallel ApplyQ1 scratch
+	Q1Slab          Key = "stage1.q1slab"    // Q₁ explicit V and Y = V·T (vectors solves)
 	TridiagWork     Key = "tridiag.work"     // tridiag.WorkSet: per-worker solver scratch pools
 	VectorStage     Key = "vectors.stage"    // eigenvector staging matrix
 	OneStagePanel   Key = "onestage.panel"   // DLATRD W panel

@@ -14,6 +14,18 @@ go test -race ./...
 # kept as a named gate so a future test-pruning pass cannot silently drop it.
 go test -race -run 'TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBacktrans' ./internal/backtransform ./internal/core .
 
+# The two-GEMM back-transformation kernels, exercised explicitly under -race:
+# drift against the former Larfb/Tsmqr appliers (kept in test code as the
+# reference) on ragged tiles, tau = 0 reflectors, reflector counts off the
+# 8-row micro-kernel, SBR sweep plans and thin eigenvector subsets; the
+# invariants Y = V*T is formed on (T's strict lower triangle zero, V's unit
+# diagonal explicit, I - Y*V^T orthogonal); and the workspace estimate
+# against what a warmed Solver's arena really retains.
+go test -race -run 'TestBacktransDriftVsReference|TestPlanYInvariant' ./internal/backtransform
+go test -race -run 'TestLarftKeepsStrictLowerUntouched|TestApplyWYMatchesLarfb' ./internal/householder
+go test -race -run 'TestTFactorsStrictLowerZero|TestApplyQ1' ./internal/band
+go test -race -run 'TestEstimateWorkspaceBytesCoversArena' .
+
 # The concurrent-batch surface, exercised explicitly under -race: a mixed-size
 # batch sharing one scheduler, with one injected non-convergent problem and one
 # NaN problem (typed, item-local errors; no cross-item poisoning), plus the

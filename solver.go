@@ -91,13 +91,15 @@ func NewSolver(opts *Options) *Solver {
 
 // EstimateWorkspaceBytes reports the workspace footprint the Solver would
 // reserve for one order-n solve (with or without eigenvectors) under its
-// configured tile size — the exact cost the admission gate charges against
-// Options.MemoryBudget. Serving layers use it to price requests up front:
-// a request whose estimate exceeds the budget would be clamped and run
-// alone (see batchGate), so a service that wants to refuse such requests
-// outright compares this estimate against MemoryBudget before admitting.
+// configured tile size, diamond width and worker count — a bound on what a
+// warmed workspace arena retains, and the exact cost the admission gate
+// charges against Options.MemoryBudget. Serving layers use it to price
+// requests up front: a request whose estimate exceeds the budget would be
+// clamped and run alone (see batchGate), so a service that wants to refuse
+// such requests outright compares this estimate against MemoryBudget
+// before admitting.
 func (s *Solver) EstimateWorkspaceBytes(n int, vectors bool) int64 {
-	return core.EstimateWorkspaceBytes(n, s.opts.NB, vectors)
+	return core.EstimateWorkspaceBytes(n, s.opts.NB, s.opts.Group, s.opts.Workers, vectors)
 }
 
 // MemoryBudget reports the byte budget the Solver admits concurrent solves

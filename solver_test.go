@@ -355,3 +355,48 @@ func TestEigValuesRangeNonBI(t *testing.T) {
 		}
 	}
 }
+
+// TestEstimateWorkspaceBytesCoversArena pins the admission model to what a
+// Solver really retains: after warmed Workers=2 solves — three of them, on
+// two different inputs, so per-solve growth of any pool would show — the
+// arena's Bytes() must not exceed EstimateWorkspaceBytes, for vectors and
+// values-only solves. From n=256 the model must also stay within 2× of the
+// retention, so admission does not hold back work that would fit. Under the
+// race detector n=1024 is left out: it would take minutes there and checks
+// no concurrency the smaller sizes do not.
+func TestEstimateWorkspaceBytesCoversArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sizes := []int{64, 256, 512, 1024}
+	if raceEnabled {
+		sizes = sizes[:3]
+	}
+	for _, vectors := range []bool{true, false} {
+		for _, n := range sizes {
+			s := NewSolver(&Options{Workers: 2, DisableTuning: true})
+			a, b := randSymMatrix(rng, n), randSymMatrix(rng, n)
+			for _, m := range []*Matrix{a, b, a} {
+				var err error
+				if vectors {
+					_, err = s.Eig(m)
+				} else {
+					_, err = s.EigValues(m)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			ar := s.pool.Get(n)
+			got := ar.Bytes()
+			s.pool.Put(ar)
+			s.Close()
+			est := s.EstimateWorkspaceBytes(n, vectors)
+			t.Logf("vectors=%v n=%d: retained %.2f MiB, estimate %.2f MiB", vectors, n, float64(got)/(1<<20), float64(est)/(1<<20))
+			if got > est {
+				t.Errorf("vectors=%v n=%d: arena retains %d bytes, estimate %d undercounts", vectors, n, got, est)
+			}
+			if n >= 256 && est > 2*got {
+				t.Errorf("vectors=%v n=%d: estimate %d is over twice the %d retained", vectors, n, est, got)
+			}
+		}
+	}
+}
