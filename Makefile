@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race check bench-reuse bench-backtrans bench-batch bench-pipeline bench-tridiag bench-stage1 bench-kernels bench-sbr tune
+.PHONY: all build vet test race check bench-reuse bench-backtrans bench-batch bench-pipeline bench-tridiag bench-kernels bench-sbr tune
 
 all: check
 
@@ -25,8 +25,9 @@ bench-reuse:
 	$(GO) run ./cmd/eigbench -exp reuse
 	$(GO) test -run '^$$' -bench 'BenchmarkSolverReuse|BenchmarkEigOneShot' -benchmem .
 
-# The fused-vs-legacy back-transformation comparison; records the measured
-# points in BENCH_backtrans.json alongside the printed table.
+# The fused back-transformation timed alone per size and worker count;
+# records the measured points in BENCH_backtrans.json alongside the printed
+# table.
 bench-backtrans:
 	$(GO) run ./cmd/eigbench -exp backtrans -out BENCH_backtrans.json
 
@@ -47,13 +48,6 @@ bench-pipeline:
 bench-tridiag:
 	$(GO) run ./cmd/eigbench -exp tridiag -out BENCH_tridiag.json
 	$(GO) test -run '^$$' -bench 'BenchmarkStebz' ./internal/tridiag
-
-# The stage-1 look-ahead reduction vs the sequenced (flat-priority) scheme,
-# with the bitwise-identity check and the trace-attributed panel/update/stall
-# split; records the measured points (with machine context) in
-# BENCH_stage1.json.
-bench-stage1:
-	$(GO) run -tags blasasm ./cmd/eigbench -exp stage1 -out BENCH_stage1.json
 
 # The GEMM kernel rework: per-kernel Dgemm Gflop/s (seed baseline vs the
 # packed kernels, assembly included via the build tag) and end-to-end Eig

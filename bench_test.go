@@ -154,7 +154,7 @@ func BenchmarkFraction_PartialSpectrum(b *testing.B) {
 
 func BenchmarkAblationGroupWidth(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		t := bench.AblationGroup(256, 16, 0, []int{1, 2, 4, 8, 16, 32})
+		t := bench.AblationGroup(256, 16, []int{1, 2, 4, 8, 16, 32})
 		if i == 0 {
 			b.Log("\n" + t.String())
 		}

@@ -72,9 +72,9 @@ type Options struct {
 	// different (equally valid) factorization, so changing it changes the
 	// computed eigenvector basis in the last bits.
 	NB int
-	// ColBlock is the eigenvector column-block width shared by the Q₂/Q₁
-	// appliers and the fused back-transformation; 0 picks a default (the
-	// tune profile when installed, else the internal/tune heuristic).
+	// ColBlock is the eigenvector column-block width of the fused
+	// back-transformation; 0 picks a default (the tune profile when
+	// installed, else the internal/tune heuristic).
 	// Results are bitwise identical at any width — the knob only partitions
 	// independent columns.
 	ColBlock int
@@ -91,12 +91,6 @@ type Options struct {
 	// internally. The depth only steers the ready queue: results are bitwise
 	// identical at every depth and worker count.
 	LookaheadDepth int
-	// DisableLookahead is the kill-switch for stage-1 look-ahead: when set,
-	// the scheduled reduction uses the flat pre-look-ahead priority scheme
-	// exactly. The results are bitwise identical either way; the switch
-	// exists for benchmarking and as an escape hatch, mirroring
-	// DisableFusedBacktrans and DisableParallelTridiag.
-	DisableLookahead bool
 	// WideBand is the stage-1 bandwidth b₁ of the multi-sweep successive
 	// band reduction: when BandSweeps selects at least one narrowing sweep,
 	// stage 1 stops at this wider, cache-friendlier band and the SBR sweeps
@@ -122,10 +116,6 @@ type Options struct {
 	// Stage2Workers restricts the memory-bound bulge-chasing stage to fewer
 	// cores for locality (the paper's hybrid scheduling); 0 = no limit.
 	Stage2Workers int
-	// Stage2Static runs the bulge chasing under the static progress-table
-	// runtime instead of the dynamic scheduler; results are identical, the
-	// choice only affects scheduling overhead.
-	Stage2Static bool
 	// TridiagWorkers restricts the tridiagonal eigensolver stage (eig_t) to
 	// this many workers; 0 inherits the full scheduler width. The stage is
 	// mixed compute/memory-bound — for small matrices the task overhead can
@@ -133,23 +123,9 @@ type Options struct {
 	// cores free for co-scheduled solves. Results are identical at any
 	// setting.
 	TridiagWorkers int
-	// DisableParallelTridiag is the kill-switch for the parallel
-	// tridiagonal stage (on by default when Workers > 1): when set, the D&C
-	// recursion, bisection, and inverse iteration run sequentially on the
-	// calling goroutine. The results are bitwise identical either way; the
-	// switch exists for benchmarking and as an escape hatch, mirroring
-	// DisableFusedBacktrans.
-	DisableParallelTridiag bool
 	// Group is the number of bulge-chasing sweeps aggregated into one
 	// diamond block when applying Q₂; 0 picks the bandwidth.
 	Group int
-	// DisableFusedBacktrans is the kill-switch for the fused single-pass
-	// back-transformation (on by default): when set, Q₂ and Q₁ are applied
-	// in two barrier-separated sweeps over the eigenvector matrix instead
-	// of one fused cache-hot pass per column block. The results are bitwise
-	// identical either way; the switch exists for benchmarking and as an
-	// escape hatch.
-	DisableFusedBacktrans bool
 	// SkipSymmetryCheck disables the O(n²) input-symmetry validation. The
 	// solver then trusts the caller: a non-symmetric input yields the
 	// spectrum of an unspecified nearby matrix rather than an error. Use it
@@ -200,8 +176,8 @@ type Options struct {
 	// when set, SolveBatch runs each item as an opaque whole-solve task (or
 	// per-tile fan-out above BatchFanout) exactly as before the phase
 	// pipeline existed. Results are bitwise identical either way; the
-	// switch exists for benchmarking and fault isolation, mirroring
-	// DisableFusedBacktrans and DisableParallelTridiag.
+	// whole-solve path trades lower latency for a higher memory peak on
+	// small-job streams (DESIGN.md §9).
 	DisablePipeline bool
 }
 
@@ -226,7 +202,7 @@ func (o *Options) normalize() {
 		o.Stage2Workers = 0
 	}
 	if o.Stage2Workers > sched.MaxWorkers {
-		// The static stage-2 runtime sizes per-worker state from this value.
+		// The core-restriction affinity mask has sched.MaxWorkers bits.
 		o.Stage2Workers = sched.MaxWorkers
 	}
 	if o.TridiagWorkers < 0 {
@@ -273,19 +249,13 @@ func (o *Options) toCore(vectors bool, il, iu int) core.Options {
 		c.ColBlock = o.ColBlock
 		c.Workers = o.Workers
 		c.Stage2Workers = o.Stage2Workers
-		c.Stage2Static = o.Stage2Static
 		c.TridiagWorkers = o.TridiagWorkers
-		c.DisableParallelTridiag = o.DisableParallelTridiag
 		c.LookaheadDepth = o.LookaheadDepth
-		c.DisableLookahead = o.DisableLookahead
 		c.WideBand = o.WideBand
 		c.BandSweeps = append([]int(nil), o.BandSweeps...)
 		c.DisableMultiSweep = o.DisableMultiSweep
 		c.Group = o.Group
 		c.Collector = o.Collector
-		if o.DisableFusedBacktrans {
-			c.FusedBacktrans = core.FuseOff
-		}
 		switch o.Method {
 		case BisectionInverseIteration:
 			c.Method = core.MethodBI

@@ -75,14 +75,20 @@ var ErrReentrantBatch = errors.New("eigen: SolveBatch called from inside a sched
 // failed solve left behind.
 var ErrNoConvergence = tridiag.ErrNoConvergence
 
-// checkFinite scans column-major data for the first NaN/±Inf entry and
-// returns the typed error describing it, or nil. rows is the matrix row
-// count (for locating the entry).
-func checkFinite(data []float64, rows int) error {
+// maxAbsFinite returns max|aᵢⱼ| over column-major data in one pass. With
+// finite set it stops at the first NaN/±Inf entry and returns the typed
+// error describing it; rows is the matrix row count (for locating the
+// entry).
+func maxAbsFinite(data []float64, rows int, finite bool) (float64, error) {
+	var amax float64
 	for idx, v := range data {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return &NotFiniteError{Row: idx % rows, Col: idx / rows, Value: v}
+		av := math.Abs(v)
+		if finite && !(av <= math.MaxFloat64) { // NaN or ±Inf
+			return 0, &NotFiniteError{Row: idx % rows, Col: idx / rows, Value: v}
+		}
+		if av > amax {
+			amax = av
 		}
 	}
-	return nil
+	return amax, nil
 }

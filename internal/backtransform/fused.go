@@ -9,22 +9,23 @@ import (
 	"repro/internal/work"
 )
 
-// ApplyFused computes E := Q₁·(Q₂·E) in a single pass over E. The paper's
-// Figure 3c partitioning makes each column block of E independent through
-// *both* back-transformation factors, so instead of streaming the whole
-// matrix through memory twice with a global barrier in between (the legacy
-// PhaseUpdateQ2/PhaseUpdateQ1 sequence), one task per block applies every
-// Q₂ diamond and then the full Q₁ tile-reflector sequence while the block is
-// cache-hot. f must be the stage-1 factor of the same reduction the plan's
-// chase consumed (f.N == n).
+// ApplyFused computes E := Q₁·(Q₂·E) in a single pass over E; it is the
+// back-transformation's only parallel loop. The paper's Figure 3c
+// partitioning makes each column block of E independent through *both*
+// back-transformation factors, so instead of streaming the whole matrix
+// through memory twice with a global barrier in between, one task per block
+// applies every Q₂ diamond and then the full Q₁ tile-reflector sequence
+// while the block is cache-hot. f must be the stage-1 factor of the same
+// reduction the plan's chase consumed (f.N == n).
 //
 // colBlock ≤ 0 picks the shared tune.ColBlock default. With a
 // scheduler-backed job each block runs on its own worker with a retained
 // worker-owned slab (no per-task allocation); a nil or inline job runs the
 // blocks sequentially on one shared workspace, stopping at a block boundary
 // on cancellation (the caller must check job.Err and discard E). The result
-// is bitwise identical to the two-phase path at equal colBlock. tc may be
-// nil; Q₂/Q₁ flop shares are attributed to the legacy phase names via
+// is bitwise identical to the whole-matrix Plan.Apply followed by
+// band.Factor.ApplyQ1, at every colBlock and worker count. tc may be nil;
+// the Q₂/Q₁ flop shares are attributed to PhaseUpdateQ2/PhaseUpdateQ1 via
 // AttributeFlops.
 func (p *Plan) ApplyFused(f *band.Factor, e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
 	p.ApplyFusedWith(f, nil, e, job, colBlock, tc)

@@ -23,13 +23,18 @@ func fusedFixture(rng *rand.Rand, n, nb int, ws *work.Arena) (*band.Factor, *Pla
 	return f, NewPlan(res, 0, ws)
 }
 
+// TestApplyFusedMatchesTwoPhase pins the fused back-transformation against
+// the sequential whole-E reference — all of Q₂, then all of Q₁, each applied
+// to E as one block — bitwise, at every column-block width and worker count:
+// the blocks are independent columns and per element the GEMM accumulation
+// order does not depend on how E is partitioned.
 func TestApplyFusedMatchesTwoPhase(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	for _, tc := range []struct{ n, nb, cols, colBlock int }{
-		{30, 6, 30, 7},
-		{40, 8, 40, 0},
-		{33, 8, 12, 5}, // thin E
-		{24, 24, 24, 6},
+	for _, tc := range []struct{ n, nb, cols int }{
+		{30, 6, 30},
+		{40, 8, 40},
+		{33, 8, 12}, // thin E
+		{24, 24, 24},
 	} {
 		f, p := fusedFixture(rng, tc.n, tc.nb, nil)
 		e := matrix.NewDense(tc.n, tc.cols)
@@ -37,29 +42,32 @@ func TestApplyFusedMatchesTwoPhase(t *testing.T) {
 			e.Data[i] = rng.NormFloat64()
 		}
 		want := e.Clone()
-		p.Apply(want, nil, tc.colBlock, nil)
-		f.ApplyQ1(want, nil, tc.colBlock, nil)
+		p.Apply(want, nil)
+		f.ApplyQ1(want, nil)
 
-		// Inline job.
-		got := e.Clone()
-		p.ApplyFused(f, got, nil, tc.colBlock, nil)
-		if !got.Equalish(want, 0) {
-			t.Fatalf("n=%d nb=%d cols=%d colBlock=%d: inline fused differs from two-phase",
-				tc.n, tc.nb, tc.cols, tc.colBlock)
-		}
-
-		// Dynamic scheduler job.
-		s := sched.New(3)
-		got2 := e.Clone()
-		job := s.NewJob(nil)
-		p.ApplyFused(f, got2, job, tc.colBlock, nil)
-		if err := job.Err(); err != nil {
-			t.Fatal(err)
-		}
-		s.Shutdown()
-		if !got2.Equalish(want, 0) {
-			t.Fatalf("n=%d nb=%d cols=%d colBlock=%d: scheduled fused differs from two-phase",
-				tc.n, tc.nb, tc.cols, tc.colBlock)
+		for _, workers := range []int{0, 1, 2, 3} {
+			var s *sched.Scheduler
+			if workers > 0 {
+				s = sched.New(workers)
+			}
+			for _, colBlock := range []int{0, 1, 5, 7, tc.cols, tc.cols + 3} {
+				var job *sched.Job // nil: the inline sequential loop
+				if s != nil {
+					job = s.NewJob(nil)
+				}
+				got := e.Clone()
+				p.ApplyFused(f, got, job, colBlock, nil)
+				if err := job.Err(); err != nil {
+					t.Fatal(err)
+				}
+				if !got.Equalish(want, 0) {
+					t.Fatalf("n=%d nb=%d cols=%d workers=%d colBlock=%d: fused differs from the whole-E Q2-then-Q1 reference",
+						tc.n, tc.nb, tc.cols, workers, colBlock)
+				}
+			}
+			if s != nil {
+				s.Shutdown()
+			}
 		}
 	}
 }
@@ -77,8 +85,8 @@ func TestApplyFusedArenaReuse(t *testing.T) {
 			e.Data[i] = rng.NormFloat64()
 		}
 		want := e.Clone()
-		p.Apply(want, nil, 9, nil)
-		f.ApplyQ1(want, nil, 9, nil)
+		p.Apply(want, nil)
+		f.ApplyQ1(want, nil)
 		got := e.Clone()
 		s := sched.New(2)
 		job := s.NewJob(nil)

@@ -21,7 +21,6 @@ import (
 	"repro/internal/bulge"
 	"repro/internal/householder"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/trace"
 	"repro/internal/tune"
 	"repro/internal/work"
@@ -243,10 +242,6 @@ func NewPlanKeyed(res *bulge.Result, group int, ws *work.Arena, planKey, slabKey
 // NumBlocks reports how many diamond blocks the plan holds.
 func (p *Plan) NumBlocks() int { return len(p.blocks) }
 
-// MaxK reports the widest diamond (reflector count); it bounds the apply
-// workspace an ApplyBlock caller must provide (MaxK·cols floats).
-func (p *Plan) MaxK() int { return p.maxK }
-
 // FlopsPerCol returns the flops Q₂ application spends per eigenvector
 // column (4·rows·k per diamond: Vᵀ·C and Y·W). The fused path uses it to
 // attribute the Q₂ share of its single wall-clock phase.
@@ -299,53 +294,18 @@ func (p *Plan) overlapEdgesQuad() int {
 	return edges
 }
 
-// Apply computes E := Q₂·E using the diamond blocks. E is partitioned into
-// column blocks of width colBlock (≤ 0 → the shared tune.ColBlock default)
-// and each block is one task: with a scheduler-backed job the blocks run
-// concurrently on distinct workers with no shared data, each on its own
-// retained worker slab; a nil (or inline) job runs them sequentially with
-// one shared workspace, stopping at a block boundary on cancellation (the
-// caller must check job.Err and discard E). tc may be nil.
-func (p *Plan) Apply(e *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
+// Apply computes E := Q₂·E sequentially, treating all of E as one column
+// block. It is the whole-matrix reference the fused back-transformation is
+// pinned against, and the Q₂-only entry of the group-width ablation; solves
+// apply Q₂ through ApplyFusedWith. tc may be nil.
+func (p *Plan) Apply(e *matrix.Dense, tc *trace.Collector) {
 	if e.Rows != p.n {
 		panic("backtransform: E row count mismatch")
 	}
 	if e.Cols == 0 {
 		return
 	}
-	if colBlock <= 0 {
-		colBlock = tune.ColBlock(e.Cols, p.b, job.Workers())
-	}
-	if !job.Parallel() {
-		wk := p.ws.Floats(work.BacktransApply, p.maxK*min(colBlock, e.Cols), false)
-		for j0 := 0; j0 < e.Cols; j0 += colBlock {
-			if job.Canceled() {
-				return
-			}
-			jb := min(colBlock, e.Cols-j0)
-			p.applyBlock(e.View(0, j0, p.n, jb), wk, tc)
-		}
-		return
-	}
-	slabs := p.ws.WorkerSlabs(work.BacktransWorker, job.Workers(), p.maxK*min(colBlock, e.Cols))
-	for j0 := 0; j0 < e.Cols; j0 += colBlock {
-		jb := min(colBlock, e.Cols-j0)
-		view := e.View(0, j0, p.n, jb)
-		job.Submit(sched.Task{
-			Name: "APPLYQ2",
-			Run: func(w int) {
-				p.applyBlock(view, slabs.For(w), tc)
-			},
-		})
-	}
-	job.Wait()
-}
-
-// ApplyBlock applies every diamond of the plan to one column block of E.
-// work must hold at least MaxK()·e.Cols floats. It is the Q₂ half of the
-// fused back-transformation task.
-func (p *Plan) ApplyBlock(e *matrix.Dense, work []float64, tc *trace.Collector) {
-	p.applyBlock(e, work, tc)
+	p.applyBlock(e, p.ws.Floats(work.BacktransApply, p.maxK*e.Cols, false), tc)
 }
 
 // applyBlock applies every diamond to one column block of E, two Dgemm

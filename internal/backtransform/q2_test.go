@@ -8,7 +8,6 @@ import (
 	"repro/internal/bulge"
 	"repro/internal/householder"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 )
 
 func randBand(rng *rand.Rand, n, kd int) *matrix.SymBand {
@@ -75,31 +74,10 @@ func TestDiamondMatchesNaive(t *testing.T) {
 		want := e.Clone()
 		ApplyNaive(res, want, nil)
 		got := e.Clone()
-		NewPlan(res, tc.group, nil).Apply(got, nil, 0, nil)
+		NewPlan(res, tc.group, nil).Apply(got, nil)
 		if !got.Equalish(want, 1e-11*float64(tc.n)) {
 			t.Fatalf("n=%d kd=%d group=%d: diamond apply != naive", tc.n, tc.kd, tc.group)
 		}
-	}
-}
-
-func TestApplyParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	n, kd := 30, 4
-	b := randBand(rng, n, kd)
-	res := bulge.Chase(b, nil, 0, true, nil, nil)
-	p := NewPlan(res, 0, nil)
-	e := matrix.NewDense(n, n)
-	for i := range e.Data {
-		e.Data[i] = rng.NormFloat64()
-	}
-	want := e.Clone()
-	p.Apply(want, nil, 7, nil)
-	s := sched.New(3)
-	got := e.Clone()
-	p.Apply(got, s.NewJob(nil), 7, nil)
-	s.Shutdown()
-	if !got.Equalish(want, 0) {
-		t.Fatal("parallel Apply differs from sequential")
 	}
 }
 
@@ -118,8 +96,8 @@ func TestPlanReusable(t *testing.T) {
 		e2.Data[i] = rng.NormFloat64()
 	}
 	g1, g2 := e1.Clone(), e2.Clone()
-	p.Apply(g1, nil, 0, nil)
-	p.Apply(g2, nil, 0, nil)
+	p.Apply(g1, nil)
+	p.Apply(g2, nil)
 	w1, w2 := e1.Clone(), e2.Clone()
 	ApplyNaive(res, w1, nil)
 	ApplyNaive(res, w2, nil)
@@ -136,7 +114,7 @@ func TestEmptyQ2(t *testing.T) {
 	}
 	res := bulge.Chase(b, nil, 0, true, nil, nil)
 	e := matrix.Eye(8)
-	NewPlan(res, 0, nil).Apply(e, nil, 0, nil)
+	NewPlan(res, 0, nil).Apply(e, nil)
 	if !e.Equalish(matrix.Eye(8), 0) {
 		t.Fatal("empty Q2 modified E")
 	}
@@ -159,9 +137,9 @@ func TestApplySubsetColumns(t *testing.T) {
 		full.Data[i] = rng.NormFloat64()
 	}
 	fullOut := full.Clone()
-	p.Apply(fullOut, nil, 0, nil)
+	p.Apply(fullOut, nil)
 	thin := full.View(0, 2, n, 5).Clone()
-	p.Apply(thin, nil, 0, nil)
+	p.Apply(thin, nil)
 	if !thin.Equalish(fullOut.View(0, 2, n, 5).Clone(), 1e-12*float64(n)) {
 		t.Fatal("thin apply != corresponding columns of full apply")
 	}

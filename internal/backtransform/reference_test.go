@@ -232,16 +232,16 @@ func TestBacktransDriftVsReference(t *testing.T) {
 				t.Fatalf("fused two-GEMM vs reference: drift %.3g n·ε, budget %g", r, driftBudget)
 			}
 
-			// Each factor on its own, through the two-phase appliers.
+			// Each factor on its own, through the whole-matrix appliers.
 			q2 := e.Clone()
-			p.Apply(q2, nil, tc.colBlock, nil)
+			p.Apply(q2, nil)
 			q2ref := e.Clone()
 			refApplyQ2(res, tc.group, q2ref)
 			if r := driftRatio(q2, q2ref, e); r > driftBudget {
 				t.Fatalf("Q2 two-GEMM vs Larfb reference: drift %.3g n·ε, budget %g", r, driftBudget)
 			}
 			q1 := e.Clone()
-			f.ApplyQ1(q1, nil, tc.colBlock, nil)
+			f.ApplyQ1(q1, nil)
 			q1ref := e.Clone()
 			refApplyQ1(f, q1ref)
 			if r := driftRatio(q1, q1ref, e); r > driftBudget {

@@ -4,24 +4,16 @@ import (
 	"repro/internal/blas"
 	"repro/internal/householder"
 	"repro/internal/matrix"
-	"repro/internal/sched"
 	"repro/internal/trace"
-	"repro/internal/tune"
 	"repro/internal/work"
 )
 
-// ApplyQ1 computes C := Q₁·C where Q₁ is the orthogonal factor of the
-// stage-1 reduction held in f. C must have f.N rows.
-//
-// Parallelization follows the paper's Figure 3c: C is split into column
-// blocks and each block is one task that applies the entire reflector
-// sequence, so blocks never share data, there is no inter-core
-// communication, and each core streams its own block through cache. A nil
-// (or inline) job runs the blocks sequentially with one shared workspace;
-// a canceled job stops at a block boundary, leaving C partially updated
-// (the caller must check job.Err and discard). colBlock ≤ 0 picks the shared
-// tune.ColBlock default.
-func (f *Factor) ApplyQ1(c *matrix.Dense, job *sched.Job, colBlock int, tc *trace.Collector) {
+// ApplyQ1 computes C := Q₁·C sequentially, treating all of C as one column
+// block, where Q₁ is the orthogonal factor of the stage-1 reduction held in
+// f. C must have f.N rows. It backs BuildQ1 and is the whole-matrix
+// reference the fused back-transformation is pinned against; solves apply
+// Q₁ per column block through ApplyQ1Block. tc may be nil.
+func (f *Factor) ApplyQ1(c *matrix.Dense, tc *trace.Collector) {
 	if c.Rows != f.N {
 		panic("band: ApplyQ1 dimension mismatch")
 	}
@@ -29,34 +21,7 @@ func (f *Factor) ApplyQ1(c *matrix.Dense, job *sched.Job, colBlock int, tc *trac
 		return
 	}
 	f.PrepareQ1()
-	if colBlock <= 0 {
-		colBlock = tune.ColBlock(c.Cols, f.NB, job.Workers())
-	}
-	if !job.Parallel() {
-		wk := f.ws.Floats(work.Q1Apply, f.NB*min(colBlock, c.Cols), false)
-		for j0 := 0; j0 < c.Cols; j0 += colBlock {
-			if job.Canceled() {
-				return
-			}
-			jb := min(colBlock, c.Cols-j0)
-			f.applyQ1Block(c.View(0, j0, f.N, jb), wk, tc)
-		}
-		return
-	}
-	// Column blocks are disjoint slices of C, so the tasks need no declared
-	// dependences; each worker reuses its own retained slab.
-	slabs := f.ws.WorkerSlabs(work.Q1Worker, job.Workers(), f.NB*min(colBlock, c.Cols))
-	for j0, idx := 0, 0; j0 < c.Cols; j0, idx = j0+colBlock, idx+1 {
-		jb := min(colBlock, c.Cols-j0)
-		view := c.View(0, j0, f.N, jb)
-		job.Submit(sched.Task{
-			Name: taskName("APPLYQ1", idx, 0),
-			Run: func(w int) {
-				f.applyQ1Block(view, slabs.For(w), tc)
-			},
-		})
-	}
-	job.Wait()
+	f.applyQ1Block(c, f.ws.Floats(work.Q1Apply, f.NB*c.Cols, false), tc)
 }
 
 // ApplyQ1Block applies the full Q₁ to one column block of C. PrepareQ1 must
@@ -160,6 +125,6 @@ func (f *Factor) applyQ1Block(c *matrix.Dense, work []float64, tc *trace.Collect
 // BuildQ1 forms Q₁ explicitly (for tests and small problems).
 func (f *Factor) BuildQ1(tc *trace.Collector) *matrix.Dense {
 	q := matrix.Eye(f.N)
-	f.ApplyQ1(q, nil, 0, tc)
+	f.ApplyQ1(q, tc)
 	return q
 }

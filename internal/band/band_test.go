@@ -192,26 +192,6 @@ func TestApplyQ1TransInverse(t *testing.T) {
 	}
 }
 
-func TestApplyQ1ParallelMatchesSequential(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	n, nb := 24, 6
-	a := randSym(rng, n)
-	f := Reduce(a, nb, nil, nil, nil)
-	c := matrix.NewDense(n, n)
-	for i := range c.Data {
-		c.Data[i] = rng.NormFloat64()
-	}
-	want := c.Clone()
-	f.ApplyQ1(want, nil, 5, nil)
-	s := sched.New(3)
-	got := c.Clone()
-	f.ApplyQ1(got, s.NewJob(nil), 5, nil)
-	s.Shutdown()
-	if !got.Equalish(want, 0) {
-		t.Fatal("parallel ApplyQ1 differs from sequential")
-	}
-}
-
 func TestReduceSpectrumPreserved(t *testing.T) {
 	// Trace and Frobenius norm of B equal those of A (similarity transform).
 	rng := rand.New(rand.NewSource(7))

@@ -49,9 +49,9 @@ func factorsIdentical(t *testing.T, label string, ref, got *Factor) {
 }
 
 // TestReduceLookaheadBitwise pins the core invariant of the look-ahead
-// restructure: at every worker count and depth, and under the Sequenced
-// kill-switch, the scheduled reduction is bitwise identical to the
-// sequential reference — the priorities only reorder the ready queue.
+// restructure: at every worker count and depth the scheduled reduction is
+// bitwise identical to the sequential reference — the priorities only
+// reorder the ready queue.
 func TestReduceLookaheadBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	n, nb := 30, 4
@@ -63,8 +63,6 @@ func TestReduceLookaheadBitwise(t *testing.T) {
 			got := ReduceWith(a.Clone(), Config{NB: nb, Lookahead: depth}, s.NewJob(nil), nil, nil)
 			factorsIdentical(t, label("lookahead", workers, depth), ref, got)
 		}
-		got := ReduceWith(a.Clone(), Config{NB: nb, Sequenced: true}, s.NewJob(nil), nil, nil)
-		factorsIdentical(t, label("sequenced", workers, 0), ref, got)
 		s.Shutdown()
 	}
 }

@@ -68,11 +68,6 @@ type Config struct {
 	// clamped. The depth only steers the ready queue — results are bitwise
 	// identical at every depth and worker count.
 	Lookahead int
-	// Sequenced is the look-ahead kill-switch: it restores the flat
-	// pre-look-ahead priority scheme (panel 100 / diagonal 50 / updates 0,
-	// fused mirror tasks) exactly. Results are bitwise identical either way;
-	// the switch exists for benchmarking and fault isolation.
-	Sequenced bool
 }
 
 // clampLookahead resolves a requested depth to the valid range [1, MaxLookahead].
@@ -295,7 +290,7 @@ func (r *reducer) tsmqrC(k, i, row, w int) {
 
 // mirror2 transposes the freshly left-updated row tiles of pair (k+1, i)
 // into the corresponding column tiles of row `row` (symmetry exploitation,
-// as in mirror). The sequenced path runs it fused; the look-ahead path
+// as in mirror). The sequential path runs it fused; the scheduled path
 // splits it into mirror2a/mirror2b so the column-(k+1) half — which the next
 // panel's TSQRT chain reads — is an independent task that does not wait
 // behind, or share a ready-queue slot with, the column-i half.
@@ -335,9 +330,8 @@ func Reduce(a *matrix.Dense, nb int, job *sched.Job, ws *work.Arena, tc *trace.C
 // job selects the execution mode: a nil job (or one created with
 // sched.Inline) runs the kernels sequentially in submission order — the
 // reference execution the scheduled ones must match bit-for-bit — while a
-// scheduler-backed job runs the DAG on the worker pool, under the look-ahead
-// priority scheme unless cfg.Sequenced restores the flat one. All three
-// modes produce bitwise-identical factors: the task set and per-tile
+// scheduler-backed job runs the DAG on the worker pool under the look-ahead
+// priority scheme. All of them produce bitwise-identical factors: the task set and per-tile
 // operation order never change, only readiness and ready-queue order do. If
 // the job is canceled the reduction stops at a task boundary and the
 // Factor's contents are unspecified; the caller must check job.Err. ws may
@@ -409,11 +403,7 @@ func ReduceWith(a *matrix.Dense, cfg Config, job *sched.Job, ws *work.Arena, tc 
 		start = time.Now()
 	}
 	if job.Parallel() {
-		if cfg.Sequenced {
-			r.scheduleSequenced(job)
-		} else {
-			r.scheduleLookahead(job, clampLookahead(cfg.Lookahead))
-		}
+		r.scheduleLookahead(job, clampLookahead(cfg.Lookahead))
 		job.Wait() // error, if any, surfaces through job.Err at the caller
 	} else {
 		r.runSeq(job)
@@ -462,108 +452,6 @@ func (r *reducer) runSeq(job *sched.Job) {
 					continue
 				}
 				r.mirror2(k, i, row, 0)
-			}
-		}
-	}
-}
-
-// scheduleSequenced submits the same kernel sequence as tasks with their
-// access lists; the scheduler infers the DAG from submission order. This is
-// the pre-look-ahead scheme (flat priorities, fused MIRROR2 tasks), kept
-// verbatim as the Sequenced kill-switch path.
-func (r *reducer) scheduleSequenced(job *sched.Job) {
-	f, tm, nt := r.f, r.tm, r.f.NT
-	for k := 0; k < nt-1; k++ {
-		k := k
-		// GEQRT on tile (k+1, k): factor the top of the panel.
-		job.Submit(sched.Task{
-			Name:     taskName("GEQRT", k+1, k),
-			Priority: 100, // panel tasks are on the critical path
-			Deps: []sched.Dep{
-				sched.RW(tm.TileID(k+1, k)), sched.W(f.resV(k)), sched.W(f.resR(k)), sched.W(f.resTge(k)),
-			},
-			Run: func(w int) { r.geqrt(k, w) },
-		})
-
-		// Apply the GEQRT reflector two-sidedly to the trailing submatrix.
-		// Diagonal tile: Hᵀ·A·H in one task.
-		job.Submit(sched.Task{
-			Name:     taskName("SYRFB", k+1, k+1),
-			Priority: 50,
-			Deps: []sched.Dep{
-				sched.RW(tm.TileID(k+1, k+1)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
-			},
-			Run: func(w int) { r.syrfb(k, w) },
-		})
-		for j := k + 2; j < nt; j++ {
-			j := j
-			job.Submit(sched.Task{
-				Name: taskName("ORMQR-L", k+1, j),
-				Deps: []sched.Dep{
-					sched.RW(tm.TileID(k+1, j)), sched.R(f.resV(k)), sched.R(f.resTge(k)),
-				},
-				Run: func(w int) { r.ormqrL(k, j, w) },
-			})
-			job.Submit(sched.Task{
-				Name: taskName("MIRROR", j, k+1),
-				Deps: []sched.Dep{
-					sched.W(tm.TileID(j, k+1)), sched.R(tm.TileID(k+1, j)),
-				},
-				Run: func(w int) { r.mirror(k, j, w) },
-			})
-		}
-
-		// TSQRT chain down the panel, each followed by its two-sided
-		// application to row/column pairs (k+1, i).
-		for i := k + 2; i < nt; i++ {
-			i := i
-			job.Submit(sched.Task{
-				Name:     taskName("TSQRT", i, k),
-				Priority: 100,
-				Deps: []sched.Dep{
-					sched.RW(f.resR(k)), sched.RW(tm.TileID(i, k)), sched.W(f.resTts(k, i)),
-				},
-				Run: func(w int) { r.tsqrt(k, i, w) },
-			})
-			// Left on row pair (k+1, i), every column k+1..nt-1.
-			for j := k + 1; j < nt; j++ {
-				j := j
-				job.Submit(sched.Task{
-					Name: taskName("TSMQR-L", i, j),
-					Deps: []sched.Dep{
-						sched.RW(tm.TileID(k+1, j)), sched.RW(tm.TileID(i, j)),
-						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
-					},
-					Run: func(w int) { r.tsmqrL(k, i, j, w) },
-				})
-			}
-			// Right on column pair (k+1, i). Only the 2×2 corner (rows
-			// {k+1, i}) needs real computation; every other row is the
-			// transpose of a freshly left-updated tile — mirror it.
-			for _, row := range [2]int{k + 1, i} {
-				row := row
-				job.Submit(sched.Task{
-					Name: taskName("TSMQR-C", row, i),
-					Deps: []sched.Dep{
-						sched.RW(tm.TileID(row, k+1)), sched.RW(tm.TileID(row, i)),
-						sched.R(tm.TileID(i, k)), sched.R(f.resTts(k, i)),
-					},
-					Run: func(w int) { r.tsmqrC(k, i, row, w) },
-				})
-			}
-			for row := k + 1; row < nt; row++ {
-				if row == k+1 || row == i {
-					continue
-				}
-				row := row
-				job.Submit(sched.Task{
-					Name: taskName("MIRROR2", row, i),
-					Deps: []sched.Dep{
-						sched.W(tm.TileID(row, k+1)), sched.R(tm.TileID(k+1, row)),
-						sched.W(tm.TileID(row, i)), sched.R(tm.TileID(i, row)),
-					},
-					Run: func(w int) { r.mirror2(k, i, row, w) },
-				})
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -18,20 +17,14 @@ import (
 // memory-bound) versus aggregated into diamonds of increasing width
 // (Level 3, extra flops for the wider V but far better reuse). The naive
 // row is the one-at-a-time reference; each diamond row times the plan build
-// (V, T and Y = V·T) plus the two-GEMM apply, on a scheduler when
-// workers > 1, best of three.
-func AblationGroup(n, nb, workers int, groups []int) *Table {
+// (V, T and Y = V·T) plus the sequential two-GEMM apply, best of three.
+func AblationGroup(n, nb int, groups []int) *Table {
 	a := matFor(n)
 	f := band.Reduce(a, nb, nil, nil, nil)
 	res := bulge.Chase(f.Band, nil, 0, true, nil, nil)
 	e := matFor(n) // any dense n×n stands in for the eigenvector matrix
-	var s *sched.Scheduler
-	if workers > 1 {
-		s = sched.New(workers)
-		defer s.Shutdown()
-	}
 	t := &Table{
-		Name:    fmt.Sprintf("Ablation — Q2 application: naive vs diamond group width (n=%d, nb=%d, workers=%d)", n, nb, workers),
+		Name:    fmt.Sprintf("Ablation — Q2 application: naive vs diamond group width (n=%d, nb=%d)", n, nb),
 		Headers: []string{"group", "time", "speedup vs naive"},
 	}
 	ws := work.NewArena()
@@ -44,11 +37,7 @@ func AblationGroup(n, nb, workers int, groups []int) *Table {
 			if group == 0 {
 				backtransform.ApplyNaive(res, dst, nil)
 			} else {
-				var job *sched.Job
-				if s != nil {
-					job = s.NewJob(nil)
-				}
-				backtransform.NewPlan(res, group, ws).Apply(dst, job, 0, nil)
+				backtransform.NewPlan(res, group, ws).Apply(dst, nil)
 			}
 			best = minDur(best, time.Since(start), r == 0)
 			if group == 0 {
@@ -97,12 +86,6 @@ func AblationStage2Cores(n, nb int, workerCounts []int) *Table {
 	d := time.Since(start)
 	s.Shutdown()
 	t.Rows = append(t.Rows, []string{"dynamic, 4 workers, restricted to 1 (paper's locality trick)", secs(d)})
-	// Static progress-table runtime, the paper's other mode.
-	for _, wkr := range workerCounts {
-		start = time.Now()
-		bulge.ChaseStatic(context.Background(), f.Band, wkr, true, nil, nil)
-		t.Rows = append(t.Rows, []string{fmt.Sprintf("static, %d workers", wkr), secs(time.Since(start))})
-	}
 	t.Notes = append(t.Notes,
 		"the paper restricts this memory-bound stage to few cores to cut coherence traffic; on >1-core hosts the restricted run should beat the unrestricted one at equal worker counts.")
 	return t

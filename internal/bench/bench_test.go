@@ -52,7 +52,7 @@ func TestFig4AllVariantsSmoke(t *testing.T) {
 }
 
 func TestAblationsSmoke(t *testing.T) {
-	nonEmpty(t, AblationGroup(96, 8, 2, []int{2, 4}), 3)
+	nonEmpty(t, AblationGroup(96, 8, []int{2, 4}), 3)
 	nonEmpty(t, AblationStage2Cores(96, 8, []int{2}), 3)
 	nonEmpty(t, AblationStage1Sched(96, 16, []int{2}), 2)
 	st := Stage2ParallelCheck(64, 8, []int{1, 2})

@@ -41,21 +41,16 @@ func Figure1(variant byte, sizes []int, workers int) *Table {
 			return fmt.Sprintf("%.1f", 100*tc.PhaseTime(ph).Seconds()/tot.Seconds())
 		}
 		if two {
-			// The default driver runs the fused single-pass back-transformation,
-			// which has no separate Q₂/Q₁ wall-clock phases; split its one phase
-			// by the attributed flop shares so the figure keeps the paper's
-			// five-slice breakdown. Under the kill-switch the legacy phase
-			// timings are used directly.
-			q2, q1 := tc.PhaseTime(trace.PhaseUpdateQ2), tc.PhaseTime(trace.PhaseUpdateQ1)
-			if fused := tc.PhaseTime(trace.PhaseBacktransFused); fused > 0 {
-				fq2 := tc.AttributedFlops(trace.PhaseUpdateQ2)
-				fq1 := tc.AttributedFlops(trace.PhaseUpdateQ1)
-				if ftot := fq2 + fq1; ftot > 0 {
-					q2 = time.Duration(float64(fused) * float64(fq2) / float64(ftot))
-					q1 = fused - q2
-				} else {
-					q2, q1 = fused, 0
-				}
+			// The fused back-transformation has no separate Q₂/Q₁ wall-clock
+			// phases; split its one phase by the attributed flop shares so the
+			// figure keeps the paper's five-slice breakdown.
+			fused := tc.PhaseTime(trace.PhaseBacktransFused)
+			q2, q1 := fused, time.Duration(0)
+			fq2 := tc.AttributedFlops(trace.PhaseUpdateQ2)
+			fq1 := tc.AttributedFlops(trace.PhaseUpdateQ1)
+			if ftot := fq2 + fq1; ftot > 0 {
+				q2 = time.Duration(float64(fused) * float64(fq2) / float64(ftot))
+				q1 = fused - q2
 			}
 			pctD := func(d time.Duration) string {
 				return fmt.Sprintf("%.1f", 100*d.Seconds()/tot.Seconds())

@@ -1,156 +1,26 @@
 package bench
 
 import (
-	"fmt"
-	"math"
-	"runtime"
 	"time"
 
 	"repro/internal/band"
 	"repro/internal/matrix"
 	"repro/internal/sched"
-	"repro/internal/trace"
 	"repro/internal/work"
 )
 
-// Stage1Point is one recorded stage-1 measurement, written to
-// BENCH_stage1.json: the sequenced (flat-priority) scheduled reduction
-// against the look-ahead one on the same matrix and scheduler, with the
-// bitwise identity checked and each mode's busy/stall split attributed from
-// the trace sub-phases. The stall columns are the proof obligation of the
-// look-ahead rework: if the priorities moved the panel factorization off the
-// critical path, look-ahead shows less idle worker-time at the same width.
-// NumCPU/Gomaxprocs are recorded because on a single-core host both modes
-// time-share one CPU and the speedup can only hover around 1.
-type Stage1Point struct {
-	N            int     `json:"n"`
-	NB           int     `json:"nb"`
-	Workers      int     `json:"workers"`
-	Depth        int     `json:"depth"`
-	SequencedSec float64 `json:"sequenced_sec"`
-	LookaheadSec float64 `json:"lookahead_sec"`
-	Speedup      float64 `json:"speedup"`
-	Identical    bool    `json:"bitwise_identical"`
-	SeqPanelSec  float64 `json:"seq_panel_sec"`
-	SeqUpdateSec float64 `json:"seq_update_sec"`
-	SeqStallSec  float64 `json:"seq_stall_sec"`
-	LaPanelSec   float64 `json:"la_panel_sec"`
-	LaUpdateSec  float64 `json:"la_update_sec"`
-	LaStallSec   float64 `json:"la_stall_sec"`
-	NumCPU       int     `json:"num_cpu"`
-	Gomaxprocs   int     `json:"gomaxprocs"`
-}
-
-// flattenFactor snapshots every float a stage-1 Factor owns — all tiles
-// (reflector storage included), both T-factor families, and the extracted
-// band — so the bitwise comparison covers the full output, not just the band.
-func flattenFactor(f *band.Factor) []float64 {
-	var out []float64
-	for j := 0; j < f.NT; j++ {
-		for i := 0; i < f.NT; i++ {
-			out = append(out, f.A.Tile(i, j)...)
-		}
-	}
-	for _, t := range f.Tge {
-		out = append(out, t...)
-	}
-	for _, row := range f.Tts {
-		for _, t := range row {
-			out = append(out, t...)
-		}
-	}
-	out = append(out, f.Band.Data...)
-	return out
-}
-
-func floatsIdentical(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// measureStage1 times the scheduled stage-1 reduction under cfg (best of
-// reps, after an untimed warm-up that populates the arena) and returns the
-// best wall time, the trace-attributed panel/update/stall seconds of that
-// best rep, and a snapshot of the final factor for the bitwise check.
-func measureStage1(s *sched.Scheduler, a *matrix.Dense, cfg band.Config, reps int) (sec, panel, update, stall float64, snap []float64) {
+// measureStage1 times the scheduled stage-1 reduction under cfg: best of
+// reps, after an untimed warm-up that populates the arena.
+func measureStage1(s *sched.Scheduler, a *matrix.Dense, cfg band.Config, reps int) time.Duration {
 	ws := work.NewArena()
 	band.ReduceWith(a, cfg, s.NewJob(nil), ws, nil)
-	sec = math.Inf(1)
-	var f *band.Factor
+	var best time.Duration
 	for r := 0; r < reps; r++ {
-		tc := trace.New()
 		start := time.Now()
-		f = band.ReduceWith(a, cfg, s.NewJob(nil), ws, tc)
-		if el := time.Since(start).Seconds(); el < sec {
-			sec = el
-			panel = tc.PhaseTime(trace.PhaseStage1Panel).Seconds()
-			update = tc.PhaseTime(trace.PhaseStage1Update).Seconds()
-			stall = tc.PhaseTime(trace.PhaseStage1Stall).Seconds()
-		}
+		band.ReduceWith(a, cfg, s.NewJob(nil), ws, nil)
+		best = minDur(best, time.Since(start), r == 0)
 	}
-	// Every rep is bitwise identical by the determinism invariant, so the
-	// last factor stands for all of them.
-	snap = flattenFactor(f)
-	return sec, panel, update, stall, snap
-}
-
-// Stage1Compare measures the sequenced (DisableLookahead) scheduled stage-1
-// reduction against the look-ahead one at the given depth, per matrix size,
-// on one shared scheduler of the given width. It is the measurement core of
-// `eigbench -exp stage1` / BENCH_stage1.json.
-func Stage1Compare(sizes []int, nb, workers, depth, reps int) (*Table, []Stage1Point) {
-	if workers < 1 {
-		workers = 1
-	}
-	if depth <= 0 {
-		depth = band.DefaultLookahead
-	}
-	numCPU, gomaxprocs := runtime.NumCPU(), runtime.GOMAXPROCS(0)
-	if reps < 1 {
-		reps = 1
-	}
-	t := &Table{
-		Name:    fmt.Sprintf("Stage 1 — look-ahead (d=%d) vs sequenced (nb=%d, workers=%d)", depth, nb, workers),
-		Headers: []string{"n", "sequenced", "look-ahead", "speedup", "bitwise", "stall seq", "stall la"},
-	}
-	s := sched.New(workers)
-	defer s.Shutdown()
-	var pts []Stage1Point
-	for _, n := range sizes {
-		a := matFor(n)
-		seqSec, seqP, seqU, seqS, seqSnap := measureStage1(s, a, band.Config{NB: nb, Sequenced: true}, reps)
-		laSec, laP, laU, laS, laSnap := measureStage1(s, a, band.Config{NB: nb, Lookahead: depth}, reps)
-		pt := Stage1Point{
-			N: n, NB: nb, Workers: workers, Depth: depth,
-			SequencedSec: seqSec, LookaheadSec: laSec, Speedup: seqSec / laSec,
-			Identical:   floatsIdentical(seqSnap, laSnap),
-			SeqPanelSec: seqP, SeqUpdateSec: seqU, SeqStallSec: seqS,
-			LaPanelSec: laP, LaUpdateSec: laU, LaStallSec: laS,
-			NumCPU: numCPU, Gomaxprocs: gomaxprocs,
-		}
-		pts = append(pts, pt)
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprint(n),
-			secs(time.Duration(seqSec * float64(time.Second))),
-			secs(time.Duration(laSec * float64(time.Second))),
-			f2(pt.Speedup), fmt.Sprint(pt.Identical),
-			secs(time.Duration(seqS * float64(time.Second))),
-			secs(time.Duration(laS * float64(time.Second))),
-		})
-	}
-	t.Notes = append(t.Notes,
-		"both modes run the identical task set on the same scheduler; only ready-queue order differs, so bitwise must be true.",
-		"stall is workers·wall − busy (idle worker-time): look-ahead's claim is a smaller stall at the same width.",
-		fmt.Sprintf("NumCPU=%d, GOMAXPROCS=%d — with a single CPU both modes time-share one core and speedup hovers near 1.", numCPU, gomaxprocs),
-	)
-	return t, pts
+	return best
 }
 
 // LookaheadPoint is one measured look-ahead depth of the eigtune sweep.
@@ -175,8 +45,8 @@ func LookaheadSweep(n, nb, workers int, depths []int, reps int) []LookaheadPoint
 	a := matFor(n)
 	pts := make([]LookaheadPoint, 0, len(depths))
 	for _, d := range depths {
-		sec, _, _, _, _ := measureStage1(s, a, band.Config{NB: nb, Lookahead: d}, reps)
-		pts = append(pts, LookaheadPoint{Depth: d, Secs: sec})
+		sec := measureStage1(s, a, band.Config{NB: nb, Lookahead: d}, reps)
+		pts = append(pts, LookaheadPoint{Depth: d, Secs: sec.Seconds()})
 	}
 	return pts
 }

@@ -56,24 +56,11 @@ func (m Method) String() string {
 	return fmt.Sprintf("Method(%d)", int(m))
 }
 
-// FuseMode selects the back-transformation execution strategy.
-type FuseMode int
-
-const (
-	// FuseAuto is the default: the fused single-pass back-transformation.
-	FuseAuto FuseMode = iota
-	// FuseOn forces the fused path explicitly.
-	FuseOn
-	// FuseOff is the kill-switch: the legacy two-phase sequence
-	// (PhaseUpdateQ2 then PhaseUpdateQ1 with a global barrier between).
-	FuseOff
-)
-
-// DefaultColBlock is the shared eigenvector column-block default used by
-// both back-transformation appliers (and the fused path): cols eigenvector
-// columns, stage-1 tile size nb, scheduler width workers. It delegates to
-// tune.ColBlock so the appliers — which cannot import core — agree with the
-// driver on the fused task granularity.
+// DefaultColBlock is the eigenvector column-block default of the fused
+// back-transformation: cols eigenvector columns, stage-1 tile size nb,
+// scheduler width workers. It delegates to tune.ColBlock so the applier —
+// which cannot import core — agrees with the driver on the task
+// granularity.
 func DefaultColBlock(cols, nb, workers int) int {
 	return tune.ColBlock(cols, nb, workers)
 }
@@ -93,11 +80,6 @@ type Options struct {
 	// picks band.DefaultLookahead; absurd depths are clamped. The depth only
 	// steers scheduling — results are bitwise identical at every depth.
 	LookaheadDepth int
-	// DisableLookahead is the kill-switch for stage-1 look-ahead: it restores
-	// the flat pre-look-ahead priority scheme exactly. Both paths are bitwise
-	// identical — this exists for benchmarking and fault isolation, like
-	// DisableParallelTridiag and FuseOff.
-	DisableLookahead bool
 	// WideBand is the stage-1 reduction bandwidth b₁ when the multi-sweep
 	// successive band reduction is active (BandSweeps selects at least one
 	// narrowing sweep and DisableMultiSweep is unset): stage 1 stops at this
@@ -121,20 +103,10 @@ type Options struct {
 	// (the paper's core-restriction: the stage is memory-bound, and using
 	// fewer cores improves locality). 0 means no restriction.
 	Stage2Workers int
-	// Stage2Static runs the bulge chasing under the static progress-table
-	// runtime instead of the dynamic scheduler (the paper's hybrid
-	// dynamic/static design); the results are bitwise identical.
-	Stage2Static bool
 	// TridiagWorkers restricts the tridiagonal-eigensolver tasks (D&C
 	// subtrees and merge tiles, bisection chunks, inverse-iteration
 	// clusters) to this many workers. 0 inherits the full scheduler width.
 	TridiagWorkers int
-	// DisableParallelTridiag is the kill-switch for the parallel
-	// tridiagonal stage: when set, eig_t runs sequentially on the calling
-	// goroutine even when a scheduler is available. Both paths are bitwise
-	// identical — this exists for benchmarking and fault isolation, like
-	// FuseOff for the back-transformation.
-	DisableParallelTridiag bool
 	// Method selects the tridiagonal eigensolver.
 	Method Method
 	// Vectors requests eigenvectors.
@@ -151,11 +123,6 @@ type Options struct {
 	// ColBlock is the eigenvector column-block width for per-core locality
 	// (≤ 0 → the shared DefaultColBlock heuristic).
 	ColBlock int
-	// FusedBacktrans is the kill-switch for the fused single-pass
-	// back-transformation: the zero value (FuseAuto) and FuseOn apply Q₂
-	// and Q₁ per column block in one cache-hot sweep; FuseOff restores the
-	// legacy two-phase sequence. Both paths are bitwise identical.
-	FusedBacktrans FuseMode
 	// Collector receives flop counts and per-phase timings; may be nil.
 	Collector *trace.Collector
 
@@ -344,12 +311,8 @@ func SyevOneStage(ctx context.Context, a *matrix.Dense, o Options) (*Result, err
 		return nil, err
 	}
 	t := &matrix.Tridiagonal{D: d, E: e}
-	es := s
-	if o.DisableParallelTridiag {
-		es = nil
-	}
-	vals, evecs, err := solveTridiagonal(ctx, t, &o, es, il, iu, ws, tc,
-		func() *sched.Job { return phaseJob(es, ctx) })
+	vals, evecs, err := solveTridiagonal(ctx, t, &o, s, il, iu, ws, tc,
+		func() *sched.Job { return phaseJob(s, ctx) })
 	if err != nil {
 		return nil, err
 	}
@@ -400,9 +363,9 @@ func intoVectors(dst *matrix.Dense, src *matrix.Dense) *matrix.Dense {
 // returns the [il, iu] slice of the spectrum (and vectors when requested).
 // The returned slices/matrices are caller-owned copies, never arena-backed.
 //
-// es is the scheduler the stage runs on: the solve's scheduler, or nil when
-// the DisableParallelTridiag kill-switch forces the stage sequential. With
-// a scheduler the stage runs its parallel entry points — concurrent D&C
+// es is the scheduler the stage runs on: the solve's scheduler, or nil for a
+// sequential solve (Workers ≤ 1). With a scheduler the stage runs its
+// parallel entry points — concurrent D&C
 // subtrees and tiled merges, chunked bisection, cluster-parallel inverse
 // iteration — on a job obtained from newJob (which lets the phase plan
 // route labeled/biased jobs through); results are bitwise identical to the

@@ -197,8 +197,8 @@ func TestPhaseTimings(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := testmat.RandomSym(rng, 64)
 
-	// Default (fused) path: one back-transformation phase, with the Q₂/Q₁
-	// split preserved as attributed flops.
+	// One fused back-transformation phase, with the Q₂/Q₁ split preserved
+	// as attributed flops.
 	tc := trace.New()
 	if _, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Collector: tc}); err != nil {
 		t.Fatal(err)
@@ -209,7 +209,7 @@ func TestPhaseTimings(t *testing.T) {
 		}
 	}
 	if tc.PhaseTime(trace.PhaseUpdateQ2) != 0 || tc.PhaseTime(trace.PhaseUpdateQ1) != 0 {
-		t.Fatal("legacy back-transformation phases timed on the fused path")
+		t.Fatal("separate Q2/Q1 phases timed on the fused path")
 	}
 	if tc.AttributedFlops(trace.PhaseUpdateQ2) <= 0 || tc.AttributedFlops(trace.PhaseUpdateQ1) <= 0 {
 		t.Fatal("fused phase did not attribute the Q2/Q1 flop split")
@@ -217,28 +217,14 @@ func TestPhaseTimings(t *testing.T) {
 	if tc.TotalFlops() == 0 {
 		t.Fatal("no flops recorded")
 	}
-
-	// Kill-switch: the legacy two-phase sequence is timed under its old
-	// names.
-	tc = trace.New()
-	if _, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Collector: tc, FusedBacktrans: FuseOff}); err != nil {
-		t.Fatal(err)
-	}
-	for _, ph := range []string{trace.PhaseUpdateQ2, trace.PhaseUpdateQ1} {
-		if tc.PhaseTime(ph) <= 0 {
-			t.Fatalf("legacy phase %s not timed with FuseOff", ph)
-		}
-	}
-	if tc.PhaseTime(trace.PhaseBacktransFused) != 0 {
-		t.Fatal("fused phase timed with FuseOff")
-	}
 }
 
-// TestFusedBacktransBitwiseIdentity pins the tentpole invariant: the fused
-// single-pass back-transformation produces exactly the same eigenvector
-// matrix as the legacy two-phase sequence — per column block the two paths
-// run the identical kernel stream, so the results must agree to the last
-// bit, for inline jobs and under the dynamic scheduler alike.
+// TestFusedBacktransBitwiseIdentity pins the fused back-transformation at
+// driver level: the eigenvector matrix does not depend on the column-block
+// width or the worker count. The reference is a sequential solve that
+// back-transforms all of E as one block (ColBlock = n) — blocks are
+// independent columns, so every partition must agree to the last bit, for
+// inline jobs and under the dynamic scheduler alike.
 func TestFusedBacktransBitwiseIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	for _, workers := range []int{0, 3} {
@@ -254,15 +240,13 @@ func TestFusedBacktransBitwiseIdentity(t *testing.T) {
 				NB: shape.nb, ColBlock: shape.colBlock, Workers: workers,
 			}
 			a := testmat.RandomSym(rng, shape.n)
-			legacy := base
-			legacy.FusedBacktrans = FuseOff
-			want, err := SyevTwoStage(context.Background(), a, legacy)
+			whole := base
+			whole.Workers, whole.ColBlock = 0, shape.n
+			want, err := SyevTwoStage(context.Background(), a, whole)
 			if err != nil {
 				t.Fatal(err)
 			}
-			fused := base
-			fused.FusedBacktrans = FuseOn
-			got, err := SyevTwoStage(context.Background(), a, fused)
+			got, err := SyevTwoStage(context.Background(), a, base)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -273,7 +257,7 @@ func TestFusedBacktransBitwiseIdentity(t *testing.T) {
 				}
 			}
 			if !got.Vectors.Equalish(want.Vectors, 0) {
-				t.Fatalf("workers=%d n=%d nb=%d colBlock=%d: fused vectors differ bitwise from legacy",
+				t.Fatalf("workers=%d n=%d nb=%d colBlock=%d: vectors differ bitwise from the one-block sequential solve",
 					workers, shape.n, shape.nb, shape.colBlock)
 			}
 			checkEigen(t, label, a, got, nil)
@@ -282,21 +266,22 @@ func TestFusedBacktransBitwiseIdentity(t *testing.T) {
 }
 
 // TestFusedBacktransSubset covers the fused path on a partial-spectrum solve
-// (thin E): the paper's f < 1 scenario.
+// (thin E): the paper's f < 1 scenario. Narrow column blocks under the
+// scheduler must match the sequential one-block solve bitwise.
 func TestFusedBacktransSubset(t *testing.T) {
 	rng := rand.New(rand.NewSource(15))
 	n := 52
 	a := testmat.RandomSym(rng, n)
-	legacy, err := SyevTwoStage(context.Background(), a, Options{Method: MethodBI, Vectors: true, NB: 8, IL: 3, IU: 17, FusedBacktrans: FuseOff})
+	whole, err := SyevTwoStage(context.Background(), a, Options{Method: MethodBI, Vectors: true, NB: 8, IL: 3, IU: 17, ColBlock: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fused, err := SyevTwoStage(context.Background(), a, Options{Method: MethodBI, Vectors: true, NB: 8, IL: 3, IU: 17, FusedBacktrans: FuseOn})
+	fused, err := SyevTwoStage(context.Background(), a, Options{Method: MethodBI, Vectors: true, NB: 8, IL: 3, IU: 17, Workers: 3, ColBlock: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fused.Vectors.Equalish(legacy.Vectors, 0) {
-		t.Fatal("fused subset vectors differ bitwise from legacy")
+	if !fused.Vectors.Equalish(whole.Vectors, 0) {
+		t.Fatal("blocked subset vectors differ bitwise from the one-block solve")
 	}
 	checkEigen(t, "fused subset", a, fused, nil)
 }
@@ -348,27 +333,6 @@ func TestNBRobustness(t *testing.T) {
 			t.Fatalf("n=%d nb=%d: %v", tc.n, tc.nb, err)
 		}
 		checkEigen(t, "nb robustness", a, res, nil)
-	}
-}
-
-func TestStage2StaticMatchesDynamic(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	a := testmat.RandomSym(rng, 44)
-	dyn, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := SyevTwoStage(context.Background(), a, Options{Method: MethodDC, Vectors: true, NB: 8, Stage2Static: true, Stage2Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range dyn.Values {
-		if dyn.Values[i] != st.Values[i] {
-			t.Fatalf("static stage-2 value %d differs", i)
-		}
-	}
-	if !st.Vectors.Equalish(dyn.Vectors, 0) {
-		t.Fatal("static stage-2 vectors differ")
 	}
 }
 
@@ -467,15 +431,15 @@ func TestRankDeficientAndSpecialMatrices(t *testing.T) {
 // TestParallelTridiagBitwiseIdentity pins the eig_t tentpole invariant: the
 // scheduler-parallel tridiagonal stage (D&C task DAG, chunked bisection,
 // cluster-parallel inverse iteration) produces exactly the results of the
-// sequential stage — for every method, at several worker counts, with and
-// without a TridiagWorkers restriction. n exceeds the D&C parallel cutoff
-// so the task DAG genuinely engages.
+// sequential (Workers = 1) solve — for every method, at several worker
+// counts, with and without a TridiagWorkers restriction. n exceeds the D&C
+// parallel cutoff so the task DAG genuinely engages.
 func TestParallelTridiagBitwiseIdentity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	n := 150
 	a := testmat.RandomSym(rng, n)
 	for _, m := range []Method{MethodDC, MethodBI, MethodQR} {
-		seq := Options{Method: m, Vectors: true, NB: 8, Workers: 4, DisableParallelTridiag: true}
+		seq := Options{Method: m, Vectors: true, NB: 8, Workers: 1}
 		want, err := SyevTwoStage(context.Background(), a, seq)
 		if err != nil {
 			t.Fatalf("%v sequential: %v", m, err)
@@ -533,7 +497,7 @@ func TestParallelTridiagSubset(t *testing.T) {
 	a := testmat.RandomSym(rng, n)
 	base := Options{Method: MethodBI, Vectors: true, NB: 8, IL: 11, IU: 73}
 	seq := base
-	seq.Workers, seq.DisableParallelTridiag = 4, true
+	seq.Workers = 1
 	want, err := SyevTwoStage(context.Background(), a, seq)
 	if err != nil {
 		t.Fatal(err)
@@ -570,10 +534,10 @@ func TestParallelTridiagAttribution(t *testing.T) {
 	}
 }
 
-// TestStage1LookaheadBitwise: the look-ahead stage-1 schedule, the Sequenced
-// kill-switch, and a sequential solve must produce bitwise-identical
-// eigensystems at every tested worker count and depth — the priorities only
-// reorder the scheduler's ready queue.
+// TestStage1LookaheadBitwise: the look-ahead stage-1 schedule and a
+// sequential solve must produce bitwise-identical eigensystems at every
+// tested worker count and depth — the priorities only reorder the
+// scheduler's ready queue.
 func TestStage1LookaheadBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	a := testmat.RandomSym(rng, 90)
@@ -596,13 +560,12 @@ func TestStage1LookaheadBitwise(t *testing.T) {
 		for _, o := range []Options{
 			{Method: MethodDC, Vectors: true, NB: 8, Workers: workers, LookaheadDepth: 1},
 			{Method: MethodDC, Vectors: true, NB: 8, Workers: workers, LookaheadDepth: 4},
-			{Method: MethodDC, Vectors: true, NB: 8, Workers: workers, DisableLookahead: true},
 		} {
 			res, err := SyevTwoStage(context.Background(), a, o)
 			if err != nil {
 				t.Fatal(err)
 			}
-			same(fmt.Sprintf("workers=%d depth=%d seq=%v", workers, o.LookaheadDepth, o.DisableLookahead), res)
+			same(fmt.Sprintf("workers=%d depth=%d", workers, o.LookaheadDepth), res)
 		}
 	}
 }

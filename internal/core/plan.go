@@ -207,18 +207,16 @@ func (st *SolveState) Result() *Result {
 	return res
 }
 
-// phaseJob returns the task stream a phase runs on. Scheduler-backed phases
-// get a fresh job per phase (or whatever JobFactory supplies); sequential
-// phases — including ones forced sequential by a kill-switch while the rest
-// of the solve is scheduled — share the state's single inline job, which
-// carries cancellation across phases exactly like the straight-line driver
-// did. s is the scheduler the phase will use (nil for sequential).
-func (st *SolveState) phaseJob(ctx context.Context, ph Phase, s *sched.Scheduler) *sched.Job {
-	if s != nil {
+// phaseJob returns the task stream a phase runs on. On a scheduler each
+// phase gets a fresh job (or whatever JobFactory supplies); a sequential
+// solve's phases share the state's single inline job, which carries
+// cancellation across phases exactly like the straight-line driver did.
+func (st *SolveState) phaseJob(ctx context.Context, ph Phase) *sched.Job {
+	if st.s != nil {
 		if st.JobFactory != nil {
 			return st.JobFactory(ph, ctx)
 		}
-		return s.NewJob(ctx)
+		return st.s.NewJob(ctx)
 	}
 	if !st.inlineSet {
 		st.inlineSet = true
@@ -239,8 +237,8 @@ func (Stage1) Class() PhaseClass { return ComputeBound }
 func (p Stage1) Run(ctx context.Context, st *SolveState) error {
 	aw := st.ws.Dense(work.Stage1Dense, st.n, st.n, false)
 	aw.CopyFrom(st.a)
-	job := st.phaseJob(ctx, p, st.s)
-	cfg := band.Config{NB: st.nb, Lookahead: st.o.LookaheadDepth, Sequenced: st.o.DisableLookahead}
+	job := st.phaseJob(ctx, p)
+	cfg := band.Config{NB: st.nb, Lookahead: st.o.LookaheadDepth}
 	st.tc.Phase(trace.PhaseStage1, func() {
 		st.f1 = band.ReduceWith(aw, cfg, job, st.ws, st.tc)
 	})
@@ -261,11 +259,10 @@ func (s SBRSweep) Name() string    { return trace.PhaseSBRSweep(s.Index) }
 func (SBRSweep) Class() PhaseClass { return MemoryBound }
 
 func (s SBRSweep) Run(ctx context.Context, st *SolveState) error {
-	job := st.phaseJob(ctx, s, st.s)
+	job := st.phaseJob(ctx, s)
 	cfg := sbr.Config{
 		B2:        s.B2,
 		Lookahead: st.o.LookaheadDepth,
-		Sequenced: st.o.DisableLookahead,
 		WantQ:     st.o.Vectors,
 		Affinity:  st.stage2Aff,
 		Keys:      sbr.KeysFor(s.Index),
@@ -296,18 +293,7 @@ func (Stage2) Class() PhaseClass { return MemoryBound }
 func (p Stage2) Run(ctx context.Context, st *SolveState) error {
 	// Skip reflector accumulation when no vectors are wanted — the
 	// back-transformation never runs.
-	if st.o.Stage2Static {
-		wkr := st.o.Stage2Workers
-		if wkr <= 0 {
-			wkr = max(1, st.workers)
-		}
-		var serr error
-		st.tc.Phase(trace.PhaseStage2, func() {
-			st.chase, serr = bulge.ChaseStatic(ctx, st.stage2Band(), wkr, st.o.Vectors, st.ws, st.tc)
-		})
-		return serr
-	}
-	job := st.phaseJob(ctx, p, st.s)
+	job := st.phaseJob(ctx, p)
 	st.tc.Phase(trace.PhaseStage2, func() {
 		st.chase = bulge.Chase(st.stage2Band(), job, st.stage2Aff, st.o.Vectors, st.ws, st.tc)
 	})
@@ -325,12 +311,8 @@ func (Tridiag) Name() string      { return trace.PhaseEigT }
 func (Tridiag) Class() PhaseClass { return MemoryBound }
 
 func (p Tridiag) Run(ctx context.Context, st *SolveState) error {
-	es := st.s
-	if st.o.DisableParallelTridiag {
-		es = nil
-	}
-	vals, evecs, err := solveTridiagonal(ctx, st.chase.T, &st.o, es, st.il, st.iu, st.ws, st.tc,
-		func() *sched.Job { return st.phaseJob(ctx, p, es) })
+	vals, evecs, err := solveTridiagonal(ctx, st.chase.T, &st.o, st.s, st.il, st.iu, st.ws, st.tc,
+		func() *sched.Job { return st.phaseJob(ctx, p) })
 	if err != nil {
 		return err
 	}
@@ -341,9 +323,10 @@ func (p Tridiag) Run(ctx context.Context, st *SolveState) error {
 // Backtrans accumulates the eigenvectors of A from the eigenvectors of T:
 // Z = Q₁·S₁⋯S_k·(Q₂·E) — the SBR sweep factors Sᵢ slot between Q₂ and Q₁,
 // applied in reverse sweep order (the last, narrowest sweep first) because
-// the reconstruction nests as A = Q₁·S₁⋯S_k·Q₂·T·Q₂ᵀ·S_kᵀ⋯S₁ᵀ·Q₁ᵀ. Fused
-// single pass by default, the legacy barrier-separated sequence under the
-// FuseOff kill-switch. Compute-bound: 2n³·f Level-3 flops per factor.
+// the reconstruction nests as A = Q₁·S₁⋯S_k·Q₂·T·Q₂ᵀ·S_kᵀ⋯S₁ᵀ·Q₁ᵀ — in one
+// fused pass: one task per column block of E applies every factor while the
+// block is cache-hot, with no barrier between the factors. Compute-bound:
+// 2n³·f Level-3 flops per factor.
 type Backtrans struct{}
 
 // sweepPlans builds the diamond plans of the SBR factors in application
@@ -371,49 +354,14 @@ func (p Backtrans) Run(ctx context.Context, st *SolveState) error {
 	if err := ctxErr(ctx); err != nil {
 		return err
 	}
-	// Both paths share one column-block width so the fused and legacy
-	// sweeps partition E identically (which is what makes them bitwise
-	// comparable).
 	colBlock := st.o.ColBlock
 	if colBlock <= 0 {
 		colBlock = DefaultColBlock(st.evecs.Cols, st.nb, st.workers)
 	}
-	if st.o.FusedBacktrans != FuseOff {
-		// Fused single pass: one task per column block applies every Q₂
-		// diamond and then the full Q₁ sequence while the block is hot —
-		// no inter-phase barrier, one sweep over E instead of two.
-		job := st.phaseJob(ctx, p, st.s)
-		st.tc.Phase(trace.PhaseBacktransFused, func() {
-			plan := backtransform.NewPlan(st.chase, st.o.Group, st.ws)
-			plan.ApplyFusedWith(st.f1, st.sweepPlans(), st.evecs, job, colBlock, st.tc)
-		})
-		if err := job.Err(); err != nil {
-			return err
-		}
-		st.vecsDone = true
-		return nil
-	}
-	job := st.phaseJob(ctx, p, st.s)
-	st.tc.Phase(trace.PhaseUpdateQ2, func() {
+	job := st.phaseJob(ctx, p)
+	st.tc.Phase(trace.PhaseBacktransFused, func() {
 		plan := backtransform.NewPlan(st.chase, st.o.Group, st.ws)
-		plan.Apply(st.evecs, job, colBlock, st.tc)
-	})
-	if err := job.Err(); err != nil {
-		return err
-	}
-	// The SBR sweep factors, barrier-separated like the legacy Q₂/Q₁ split.
-	for _, sp := range st.sweepPlans() {
-		job = st.phaseJob(ctx, p, st.s)
-		st.tc.Phase(trace.PhaseUpdateQ2, func() {
-			sp.Apply(st.evecs, job, colBlock, st.tc)
-		})
-		if err := job.Err(); err != nil {
-			return err
-		}
-	}
-	job = st.phaseJob(ctx, p, st.s)
-	st.tc.Phase(trace.PhaseUpdateQ1, func() {
-		st.f1.ApplyQ1(st.evecs, job, colBlock, st.tc)
+		plan.ApplyFusedWith(st.f1, st.sweepPlans(), st.evecs, job, colBlock, st.tc)
 	})
 	if err := job.Err(); err != nil {
 		return err

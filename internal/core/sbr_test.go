@@ -58,9 +58,8 @@ func TestBuildPlanSBR(t *testing.T) {
 }
 
 // TestSBRMultiSweepSolve is the correctness gate: every multi-sweep plan must
-// pass the planted-spectrum, residual and orthogonality budgets through both
-// back-transformation paths (fused and two-phase) and both with and without a
-// scheduler.
+// pass the planted-spectrum, residual and orthogonality budgets with and
+// without a scheduler.
 func TestSBRMultiSweepSolve(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	spec := testmat.GeometricSpectrum(56, 0.1, 50)
@@ -69,17 +68,15 @@ func TestSBRMultiSweepSolve(t *testing.T) {
 	sort.Float64s(want)
 	for _, plan := range sbrPlans {
 		for _, workers := range []int{0, 3} {
-			for _, fuse := range []FuseMode{FuseAuto, FuseOff} {
-				o := Options{
-					Method: MethodDC, Vectors: true, Workers: workers,
-					WideBand: plan.wideBand, BandSweeps: plan.sweeps, FusedBacktrans: fuse,
-				}
-				res, err := SyevTwoStage(context.Background(), a, o)
-				if err != nil {
-					t.Fatalf("%s workers=%d fuse=%v: %v", plan.label, workers, fuse, err)
-				}
-				checkEigen(t, plan.label, a, res, want)
+			o := Options{
+				Method: MethodDC, Vectors: true, Workers: workers,
+				WideBand: plan.wideBand, BandSweeps: plan.sweeps,
 			}
+			res, err := SyevTwoStage(context.Background(), a, o)
+			if err != nil {
+				t.Fatalf("%s workers=%d: %v", plan.label, workers, err)
+			}
+			checkEigen(t, plan.label, a, res, want)
 		}
 	}
 }

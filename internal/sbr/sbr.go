@@ -286,8 +286,6 @@ type Config struct {
 	// ready queue; the conservative block dependences keep the result bitwise
 	// identical at any worker count and depth.
 	Lookahead int
-	// Sequenced flattens all priorities (kill-switch for the graded order).
-	Sequenced bool
 	// WantQ selects whether the reflector sequence is accumulated.
 	WantQ bool
 	// Affinity restricts scheduled kernels to a subset of workers (0 = all).
@@ -383,30 +381,26 @@ func newReducer(b *matrix.SymBand, b2 int, cfg Config, workers int, ws *work.Are
 	// sweep-starting kernels are the critical path (every later sweep's start
 	// waits on the band they touch), so they run at panel priority; chase
 	// steps within the depth window are boosted by proximity so the blocks the
-	// next start needs are released first. Sequenced flattens everything.
+	// next start needs are released first.
 	depth := cfg.Lookahead
 	if depth == 0 {
 		depth = DefaultLookahead
 	}
-	if cfg.Sequenced {
-		r.prioChase = func(int) int { return prioFlat }
-	} else {
-		r.prioChase = func(lvl int) int {
-			if lvl == 0 {
-				return prioStart
-			}
-			if boost := depth - lvl + 1; boost > 0 {
-				return prioFlat + boost*64
-			}
-			return prioFlat
+	r.prioChase = func(lvl int) int {
+		if lvl == 0 {
+			return prioStart
 		}
+		if boost := depth - lvl + 1; boost > 0 {
+			return prioFlat + boost*64
+		}
+		return prioFlat
 	}
 	return r
 }
 
 const (
 	prioStart = 1 << 13 // sweep-starting kernels (critical path)
-	prioFlat  = 10      // base chase priority (and everything when Sequenced)
+	prioFlat  = 10      // base chase priority
 )
 
 // refRow returns the root row and block length of the reflector slot

@@ -163,8 +163,8 @@ func TestSBRChainToTridiagonal(t *testing.T) {
 }
 
 // TestSBRScheduledBitwise checks that the scheduled execution is bitwise
-// identical to the sequential reference at several worker counts, lookahead
-// depths, and under the Sequenced kill-switch.
+// identical to the sequential reference at several worker counts and
+// lookahead depths.
 func TestSBRScheduledBitwise(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	n, b1, b2 := 48, 9, 3
@@ -174,7 +174,7 @@ func TestSBRScheduledBitwise(t *testing.T) {
 		for _, cfg := range []Config{
 			{B2: b2, WantQ: true},
 			{B2: b2, WantQ: true, Lookahead: 5},
-			{B2: b2, WantQ: true, Sequenced: true},
+			{B2: b2, WantQ: true, Lookahead: 1},
 		} {
 			s := sched.New(workers)
 			got := Reduce(b, cfg, s.NewJob(nil), nil, nil)

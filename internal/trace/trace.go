@@ -34,14 +34,15 @@ const (
 	PhaseStage1    = "stage1"     // dense → band
 	PhaseStage2    = "stage2"     // band → tridiagonal (bulge chasing)
 	PhaseEigT      = "eig_t"      // tridiagonal eigensolver
-	PhaseUpdateQ2  = "update_q2"  // apply Q2 to E (legacy two-phase path)
-	PhaseUpdateQ1  = "update_q1"  // apply Q1 to (Q2 E) (legacy two-phase path)
+	PhaseUpdateQ2  = "update_q2"  // Q2's flop share of the fused back-transformation
+	PhaseUpdateQ1  = "update_q1"  // Q1's flop share of the fused back-transformation
 	PhaseBacktrans = "back_trans" // total back-transformation
 
 	// PhaseBacktransFused is the fused single-pass back-transformation:
 	// Q₂ and Q₁ applied per column block of E with no inter-phase barrier.
-	// The Q₂/Q₁ split inside it is recorded via AttributeFlops under the
-	// legacy phase names, so the Figure 1 breakdown stays reconstructible.
+	// The Q₂/Q₁ split inside it is recorded via AttributeFlops under
+	// PhaseUpdateQ2/PhaseUpdateQ1, so the Figure 1 breakdown stays
+	// reconstructible.
 	PhaseBacktransFused = "backtrans_fused"
 
 	// PhaseBatchWait is the time a batch item spent blocked in SolveBatch's

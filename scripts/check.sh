@@ -10,8 +10,10 @@ go test -race ./...
 
 # The fused back-transformation's concurrency surface, exercised explicitly:
 # worker-slab sharing, mid-phase cancellation, and the bitwise identity of the
-# fused and two-phase paths. Redundant with the full -race sweep above, but
-# kept as a named gate so a future test-pruning pass cannot silently drop it.
+# fused pass against the sequential whole-E Q2-then-Q1 reference at every
+# column-block width and worker count. Redundant with the full -race sweep
+# above, but kept as a named gate so a future test-pruning pass cannot
+# silently drop it.
 go test -race -run 'TestApplyFused|TestFusedBacktrans|TestSolverCancelDuringBacktrans' ./internal/backtransform ./internal/core .
 
 # The two-GEMM back-transformation kernels, exercised explicitly under -race:
@@ -48,9 +50,9 @@ go test -race -run 'TestSolveBatchPipeline|TestSolveBatchReentrant|TestPipeline|
 go test -race -run 'TestStedcSched|TestStebzSched|TestSteinSched|TestSchedAffinity|TestParallelTridiag' ./internal/tridiag ./internal/core
 
 # The stage-1 look-ahead reduction, exercised explicitly under -race: bitwise
-# identity of the look-ahead and sequenced schedules against the sequential
-# reference across worker counts and depths, depth clamping, mid-stage-1
-# cancellation, and the solver-level knob/kill-switch sweeps.
+# identity of the look-ahead schedule against the sequential reference across
+# worker counts and depths, depth clamping, mid-stage-1 cancellation, and the
+# solver-level depth sweeps.
 go test -race -run 'TestReduceLookahead|TestLookahead|TestStage1' ./internal/band ./internal/core .
 
 # The GEMM kernel rework, under BOTH build-tag configurations: the portable
@@ -66,7 +68,7 @@ go test -tags blasasm ./internal/blas
 # determinism of every sweep plan across worker counts {1,2,4,7}, the
 # DisableMultiSweep kill-switch restoring the exact single-sweep
 # factorization bitwise, per-sweep phase suspend/resume, the correctness
-# budgets through both back-transformation paths, the sbr package's
+# budgets with and without a scheduler, the sbr package's
 # scheduled-vs-sequential identity, and the pipelined batch with per-sweep
 # phases interleaved.
 go test -race -run 'TestSBR|TestMultiSweep|TestChaseBanded' ./internal/sbr ./internal/core ./internal/bulge .
@@ -81,6 +83,17 @@ go test -race -run 'TestSBR|TestMultiSweep|TestChaseBanded' ./internal/sbr ./int
 go test -run 'TestTuneProfileRoundTripSolve|TestTuning' .
 go test ./internal/tune
 go test -run 'TestProfileMigration' ./internal/tune
+
+# tune.Load reads a file anyone may have written: a short fuzzing pass (seeded
+# with valid v1/v2/v3 profiles and the known-rejected shapes) checks that it
+# never panics and that every profile it accepts survives Save -> Load.
+go test -run '^$' -fuzz FuzzLoad -fuzztime 10s ./internal/tune
+
+# Finite but badly scaled inputs (10^+-307, 2^1020, 2^-1013, subnormal
+# entries, graded matrices) solve through both algorithms, all three
+# tridiagonal methods and the batch paths, within the residual and
+# orthogonality budgets.
+go test -race -run 'TestScaledInputs|TestInputScaleRange' .
 
 # The eigensolver service, exercised explicitly under -race: the HTTP handler
 # ladder (auth, validation 4xx, typed error->status mapping incl. the
@@ -99,3 +112,8 @@ go test -race -run 'TestBatchRangeValidatedWithoutDst|TestBatchGateOverBudgetCla
 # containers.
 go test -run 'TestNewSolverWithoutHomeDir' .
 go test -run 'TestDefaultPathWithoutHomeDir' ./internal/tune
+
+# The benchmark harness is a module of its own (perfbench/go.mod), so the
+# go test ./... runs above never build it; it uses the public Options and
+# the internal phase plan, so an API change can break it silently.
+(cd perfbench && go vet -tags blasasm ./... && go test -tags blasasm ./...)

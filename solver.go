@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/core"
@@ -233,6 +234,34 @@ type prepared struct {
 	ad  *matrix.Dense
 	dst *matrix.Dense // nil unless a destination matrix was supplied
 	co  core.Options
+	// scale is the power of two the input was multiplied by (see
+	// inputScale); finish multiplies the eigenvalues by 2^-scale.
+	scale int
+}
+
+// An input whose largest entry lies outside [rmin, rmax] is scaled before
+// the solve, as LAPACK's dsyev does, so that squares and products formed by
+// the reduction and the tridiagonal solvers neither overflow nor underflow:
+// rmin = √(safmin/ε) and rmax = 1/rmin with safmin = 2⁻¹⁰²² and ε = 2⁻⁵².
+const (
+	scaleMinExp = -485 // rmin = 2^scaleMinExp
+	scaleMaxExp = 485  // rmax = 2^scaleMaxExp
+)
+
+// inputScale returns the exponent k by which an input with largest entry
+// amax is scaled: 0 when amax lies in [rmin, rmax] (or is 0, or not
+// finite), else the k that brings max|aᵢⱼ|·2ᵏ into [1/2, 1). Unlike
+// dsyev, which scales to the nearer end of the range, this centres the
+// matrix, which leaves a graded input the most room at both ends. Scaling by
+// a power of two is exact, except for entries a downscale pushes into the
+// subnormal range, and leaves the eigenvectors unchanged.
+func inputScale(amax float64) int {
+	if amax == 0 || !(amax <= math.MaxFloat64) ||
+		(amax >= math.Ldexp(1, scaleMinExp) && amax <= math.Ldexp(1, scaleMaxExp)) {
+		return 0
+	}
+	_, e := math.Frexp(amax) // amax ∈ [2^(e−1), 2^e)
+	return -e
 }
 
 // prepare validates the input, borrows a size-matched arena, and assembles
@@ -251,10 +280,11 @@ func (s *Solver) prepare(scheduler *sched.Scheduler, tc *trace.Collector, a, dst
 			return nil, &RangeError{IL: il, IU: iu, N: n}
 		}
 	}
-	if !s.opts.SkipFiniteCheck {
-		if err := checkFinite(a.data, max(1, n)); err != nil {
-			return nil, err
-		}
+	// One O(n²) scan serves the finite check, the symmetry tolerance and the
+	// scaling decision.
+	amax, err := maxAbsFinite(a.data, max(1, n), !s.opts.SkipFiniteCheck)
+	if err != nil {
+		return nil, err
 	}
 
 	ws := s.pool.Get(n)
@@ -272,13 +302,22 @@ func (s *Solver) prepare(scheduler *sched.Scheduler, tc *trace.Collector, a, dst
 	*ad = matrix.Dense{Rows: a.r, Cols: a.c, Stride: max(1, a.r), Data: a.data}
 
 	if !s.opts.SkipSymmetryCheck {
-		if !ad.IsSymmetric(symTol * ad.MaxAbs()) {
+		if !ad.IsSymmetric(symTol * amax) {
 			s.pool.Put(ws)
 			return nil, fmt.Errorf("eigen: matrix is not symmetric (tolerance %g·max|a|)", symTol)
 		}
 	}
 
-	prep := &prepared{ws: ws, ad: ad}
+	prep := &prepared{ws: ws, ad: ad, scale: inputScale(amax)}
+	if prep.scale != 0 {
+		// A badly scaled input solves on a scaled copy; the caller's matrix
+		// is never written. Rare, so the copy is not arena-retained.
+		scaled := make([]float64, len(a.data))
+		for i, v := range a.data {
+			scaled[i] = math.Ldexp(v, prep.scale)
+		}
+		ad.Data = scaled
+	}
 	prep.co = s.opts.toCore(vectors, il, iu)
 	prep.co.Workers = 0 // the persistent scheduler replaces per-solve workers
 	prep.co.Sched = scheduler
@@ -304,6 +343,11 @@ func (s *Solver) finish(prep *prepared, dst *Matrix, cres *core.Result, err erro
 		return nil, err
 	}
 	res := &Result{Values: cres.Values}
+	if prep.scale != 0 {
+		for i, v := range res.Values {
+			res.Values[i] = math.Ldexp(v, -prep.scale)
+		}
+	}
 	if cres.Vectors != nil {
 		if dst != nil && cres.Vectors == prep.dst {
 			res.Vectors = dst
